@@ -30,6 +30,22 @@ class RankRelation(Enum):
     PLUS_ONE = "plus-one"
     UNKNOWN = "unknown"
 
+    @classmethod
+    def of_gap(cls, gap: int) -> "RankRelation":
+        """The relation of a rank change (after minus before) of 0, -1 or +1."""
+        for rel, g in _RANK_GAPS.items():
+            if g == gap:
+                return rel
+        raise ValueError(f"rank changed by {gap}, not by at most one")
+
+    @property
+    def gap(self) -> int:
+        """The rank change (after minus before) of a resolved relation."""
+        return _RANK_GAPS[self]
+
+
+_RANK_GAPS = {RankRelation.EQUAL: 0, RankRelation.MINUS_ONE: -1, RankRelation.PLUS_ONE: 1}
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -110,7 +126,6 @@ def two_sided_completion_bounds(omega: WeyrChar, case: int) -> Intervals:
     3 = the second pencil drops rank, 4 = the second pencil gains rank.
     All data comes from the first pencil's characteristic ``omega``."""
     r = omega.col_star.tail_weight
-    r_star = omega.col_star.star_weight
     s = omega.row_star.tail_weight
     s_star = omega.row_star.star_weight
     if case == 1:
@@ -155,103 +170,61 @@ def _column_kind_bounds(omega: WeyrChar, relation: RankRelation) -> Intervals:
     raise ValueError("rank relation must be resolved here")
 
 
-def _row_kind_bounds(omega: WeyrChar, relation: RankRelation) -> Intervals:
-    """Perturbation by a constant-row rank-one pencil: the transposed
-    formulas, with the column/row roles of the data swapped."""
-    r = omega.col_star.tail_weight
-    r_star = omega.col_star.star_weight
-    s = omega.row_star.tail_weight
-    s_star = omega.row_star.star_weight
-    if relation is RankRelation.EQUAL:
-        if r == 0:
-            r_iv = Interval(0, 1, "eqgpboundrrrr1col")
-        else:
-            r_iv = Interval(-isqrt(r_star), isqrt(r_star), "eqgpboundrrrr1col")
-        if s == 0:
-            s_iv = Interval(0, 2, "eqgpboundsrrr1+col")
-        else:
-            s_iv = Interval(-isqrt(s) - 1, isqrt(s - 1) + 2, "eqgpboundsrrr1+col")
-        return {"w": Interval(-1, 1, "eqgpboundwrrr1"), "r": r_iv, "s": s_iv}
-    if relation is RankRelation.MINUS_ONE:
-        return {"w": Interval(-2, 0, "eqgpboundwrr+"),
-                "r": Interval(1 - isqrt(r_star + 1), 1, "eqgpboundrrr+col"),
-                "s": Interval(-isqrt(s), 1, "eqgpboundsrr+col")}
-    if relation is RankRelation.PLUS_ONE:
-        return {"w": Interval(0, 2, "eqgpboundwr+r"),
-                "r": Interval(-1, -1 + isqrt(r_star), "eqgpboundrr+rcol"),
-                "s": Interval(-1, isqrt(s + 1), "eqgpboundsr+rcol")}
-    raise ValueError("rank relation must be resolved here")
+# Formula tags of the derived families, (w, r, s), as the paper prints them.
+_DERIVED_TAGS: dict[tuple[RankOneKind | None, RankRelation], tuple[str, str, str]] = {
+    (RankOneKind.ROW, RankRelation.EQUAL):
+        ("eqgpboundwrrr1", "eqgpboundrrrr1col", "eqgpboundsrrr1+col"),
+    (RankOneKind.ROW, RankRelation.MINUS_ONE):
+        ("eqgpboundwrr+", "eqgpboundrrr+col", "eqgpboundsrr+col"),
+    (RankOneKind.ROW, RankRelation.PLUS_ONE):
+        ("eqgpboundwr+r", "eqgpboundrr+rcol", "eqgpboundsr+rcol"),
+    (None, RankRelation.EQUAL):
+        ("eqgpboundwrrr1", "eqgpboundrrrr1gilt", "eqgpboundrrrr1gilts"),
+    (None, RankRelation.MINUS_ONE):
+        ("eqgpboundwrr+", "eqgpboundrrr+rowcol", "eqgpboundsrr+rowcol"),
+    (None, RankRelation.PLUS_ONE):
+        ("eqgpboundwr+r", "eqgpboundrr+rrowcol", "eqgpboundsr+rrowcol"),
+    (None, RankRelation.UNKNOWN):
+        ("eqgpboundw", "eqgpboundr", "eqgpbounds"),
+}
+
+_RESOLVED = (RankRelation.EQUAL, RankRelation.MINUS_ONE, RankRelation.PLUS_ONE)
 
 
-def _unknown_kind_bounds(omega: WeyrChar, relation: RankRelation) -> Intervals:
-    """Kind unknown, rank relation known: the printed merged formulas."""
-    r = omega.col_star.tail_weight
-    r_star = omega.col_star.star_weight
-    s = omega.row_star.tail_weight
-    s_star = omega.row_star.star_weight
-    if relation is RankRelation.EQUAL:
-        if r == 0:
-            r_iv = Interval(0, 2, "eqgpboundrrrr1gilt")
-        else:
-            r_iv = Interval(min(-isqrt(r) - 1, -isqrt(r_star)),
-                            max(isqrt(r - 1) + 2, isqrt(r_star)), "eqgpboundrrrr1gilt")
-        if s == 0:
-            s_iv = Interval(0, 2, "eqgpboundrrrr1gilts")
-        else:
-            s_iv = Interval(min(-isqrt(s) - 1, -isqrt(s_star)),
-                            max(isqrt(s - 1) + 2, isqrt(s_star)), "eqgpboundrrrr1gilts")
-        return {"w": Interval(-1, 1, "eqgpboundwrrr1"), "r": r_iv, "s": s_iv}
-    if relation is RankRelation.MINUS_ONE:
-        return {"w": Interval(-2, 0, "eqgpboundwrr+"),
-                "r": Interval(min(1 - isqrt(r_star + 1), -isqrt(r)), 1, "eqgpboundrrr+rowcol"),
-                "s": Interval(min(1 - isqrt(s_star + 1), -isqrt(s)), 1, "eqgpboundsrr+rowcol")}
-    if relation is RankRelation.PLUS_ONE:
-        return {"w": Interval(0, 2, "eqgpboundwr+r"),
-                "r": Interval(-1, max(-1 + isqrt(r_star), isqrt(r + 1)), "eqgpboundrr+rrowcol"),
-                "s": Interval(-1, max(-1 + isqrt(s_star), isqrt(s + 1)), "eqgpboundsr+rrowcol")}
-    raise ValueError("rank relation must be resolved here")
+def _retag(ivs: Intervals, key: tuple[RankOneKind | None, RankRelation]) -> Intervals:
+    return {c: Interval(ivs[c].lower, ivs[c].upper, tag)
+            for c, tag in zip("wrs", _DERIVED_TAGS[key])}
 
 
-def _fully_unknown_bounds(omega: WeyrChar) -> Intervals:
-    """Neither kind nor rank relation known."""
-    r = omega.col_star.tail_weight
-    r_star = omega.col_star.star_weight
-    s = omega.row_star.tail_weight
-    s_star = omega.row_star.star_weight
-    if r == 0:
-        r_iv = Interval(min(1 - isqrt(r_star + 1), -1),
-                        max(2, -1 + isqrt(r_star)), "eqgpboundr")
-    else:
-        r_iv = Interval(min(-isqrt(r_star), -1 - isqrt(r)),
-                        max(2 + isqrt(r - 1), isqrt(r_star)), "eqgpboundr")
-    if s == 0:
-        s_iv = Interval(min(1 - isqrt(s_star + 1), -1),
-                        max(2, -1 + isqrt(s_star)), "eqgpbounds")
-    else:
-        s_iv = Interval(min(-isqrt(s_star), -1 - isqrt(s)),
-                        max(2 + isqrt(s - 1), isqrt(s_star)), "eqgpbounds")
-    return {"w": Interval(-2, 2, "eqgpboundw"), "r": r_iv, "s": s_iv}
+def _hull(cases: list[Intervals]) -> Intervals:
+    out = cases[0]
+    for ivs in cases[1:]:
+        out = {c: out[c].hull(ivs[c]) for c in out}
+    return out
+
+
+def _kind_bounds(omega: WeyrChar, kind: RankOneKind, relation: RankRelation) -> Intervals:
+    """A known kind and a resolved rank relation.  The row kind is the
+    column kind on the transposed data, with the r and s intervals swapped."""
+    if kind is RankOneKind.COLUMN:
+        return _column_kind_bounds(omega, relation)
+    col = _column_kind_bounds(omega.transpose_swap(), relation)
+    return _retag({"w": col["w"], "r": col["s"], "s": col["r"]}, (kind, relation))
 
 
 def perturbation_bounds(omega: WeyrChar, scenario: Scenario) -> Intervals:
     """Intervals for the Weyr differences of H + rank-one P versus H.
 
-    A known kind with unknown rank relation takes the per-component hull of
-    that kind's three rank cases, the literal disjunction.
+    Whatever the scenario leaves unknown is the per-component hull of the
+    cases it allows, the literal disjunction: a known kind with unknown rank
+    relation keeps the hull of that kind's three tags, and an unknown kind
+    carries the merged formula's own tag.
     """
     kind, rel = scenario.kind, scenario.rank_relation
-    if kind is None and rel is RankRelation.UNKNOWN:
-        return _fully_unknown_bounds(omega)
-    if kind is None:
-        return _unknown_kind_bounds(omega, rel)
-    fn = _column_kind_bounds if kind is RankOneKind.COLUMN else _row_kind_bounds
-    if rel is not RankRelation.UNKNOWN:
-        return fn(omega, rel)
-    out: Intervals | None = None
-    for case in (RankRelation.EQUAL, RankRelation.MINUS_ONE, RankRelation.PLUS_ONE):
-        ivs = fn(omega, case)
-        out = ivs if out is None else {k: out[k].hull(ivs[k]) for k in out}
-    return out
+    kinds = (kind,) if kind is not None else (RankOneKind.COLUMN, RankOneKind.ROW)
+    rels = (rel,) if rel is not RankRelation.UNKNOWN else _RESOLVED
+    out = _hull([_kind_bounds(omega, k, r) for r in rels for k in kinds])
+    return out if kind is not None else _retag(out, (None, rel))
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .extractor import WeyrChar, weyr_char
-from .partitions import (Partition, Star, conjugate, iter_partitions,
-                         iter_partitions_upto, partition)
+from .partitions import Partition, Star, conjugate, iter_partitions, partition, star
 from .pencils import (INF, Eigenvalue, Pencil, RankOneDecomposition,
                       RankOneKind, apply_equivalence)
 from .randomness import make_rng
@@ -273,7 +272,7 @@ def iter_weyr_chars(max_total: int, labeled: bool = False,
     finite_pool = tuple(lam for lam in pool if lam != INF)
     star_cache: dict[int, list[Star]] = {}
     for w in range(max_total + 1):
-        star_cache[w] = [Star(p[0], p[1:]) if p else Star(0, ()) for p in iter_partitions(w)]
+        star_cache[w] = [star(p) for p in iter_partitions(w)]
     for w_reg in range(max_total + 1):
         maps = (_iter_weyr_labeled_maps(w_reg, pool) if labeled
                 else _iter_weyr_multiset_maps(w_reg, finite_pool))
@@ -283,10 +282,6 @@ def iter_weyr_chars(max_total: int, labeled: bool = False,
                     for s_sw in range(max_total - w_reg - r_sw + 1):
                         for row in star_cache[s_sw]:
                             yield weyr_char(regular, col, row)
-
-
-def enumerate_partition_prescriptions(max_weight: int) -> Iterator[Partition]:
-    yield from iter_partitions_upto(max_weight)
 
 
 __all__ = [

@@ -9,11 +9,12 @@ independent of execution order and reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .bounds import RankRelation, Scenario, check_bounds
 from .builder import build_pencil, random_rank_one, random_weyr
-from .concordance import concordance_mismatches
-from .extractor import IrrationalSpectrumError, weyr_characteristic
+from .concordance import concordance_mismatches, split_mismatches
+from .extractor import IrrationalSpectrumError, WeyrChar, weyr_characteristic
 from .pencils import Pencil, RankOneKind, classify_rank_one
 from .randomness import make_rng
 
@@ -43,31 +44,35 @@ def _trial_pencil(seed: int, trial: int, budget: int, max_dim: int) -> Pencil:
         attempt += 1
 
 
+def rational_perturbation(h: Pencil, draw: Callable[[int], Pencil]
+                          ) -> tuple[Pencil, WeyrChar]:
+    """The first of draw(0), draw(1), ... whose sum with h has a rational
+    spectrum, and the characteristic of that sum.
+
+    The bounds hold for every rank-one perturbation, and the lab checks the
+    outcomes it can represent exactly, so a draw that pushes the spectrum
+    off the rationals is redrawn; each caller's seed formula keeps the
+    redraws deterministic."""
+    for attempt in range(10_000):
+        p = draw(attempt)
+        try:
+            return p, weyr_characteristic(h.add(p))
+        except IrrationalSpectrumError:
+            continue
+    raise ValueError("no rational-spectrum perturbation found")
+
+
 def perturbation_trial(config: CampaignConfig, trial: int) -> dict:
     """One seeded perturbation: returns observed data and any violations
-    across the exact scenario and all coarser ones.
-
-    Perturbations that push the spectrum off the rationals are redrawn
-    (deterministically): the bounds hold for every rank-one perturbation,
-    and the lab checks the outcomes it can represent exactly."""
+    across the exact scenario and all coarser ones."""
     rng = make_rng("campaign", config.seed, trial)
     h = _trial_pencil(config.seed, trial, config.size_budget, config.max_dim)
     kind = rng.choice(config.kinds)
     before = weyr_characteristic(h)
-    for attempt in range(10_000):
-        p = random_rank_one(config.seed * 7_000_003 + trial + 4099 * attempt,
-                            h.m, h.n, kind)
-        try:
-            after = weyr_characteristic(h.add(p))
-            break
-        except IrrationalSpectrumError:
-            continue
-    else:
-        raise AssertionError("could not draw a rational-spectrum perturbation")
+    p, after = rational_perturbation(h, lambda attempt: random_rank_one(
+        config.seed * 7_000_003 + trial + 4099 * attempt, h.m, h.n, kind))
     observed_kind = classify_rank_one(p).kind
-    gap = after.rank - before.rank
-    relation = {0: RankRelation.EQUAL, -1: RankRelation.MINUS_ONE,
-                1: RankRelation.PLUS_ONE}[gap]
+    relation = RankRelation.of_gap(after.rank - before.rank)
     scenario = Scenario(observed_kind, relation)
     violations = []
     for sc in scenario.coarsenings():
@@ -89,24 +94,19 @@ def fault_injection_trial(config: CampaignConfig, trial: int) -> dict:
     rank-one intervals.  Violations are data, not failures."""
     h = _trial_pencil(config.seed, trial, config.size_budget, config.max_dim)
     before = weyr_characteristic(h)
-    for attempt in range(10_000):
+
+    def probe(attempt: int) -> Pencil:
         p1 = random_rank_one(config.seed * 11_000_003 + trial + 7 * attempt,
                              h.m, h.n, RankOneKind.COLUMN)
         p2 = random_rank_one(config.seed * 13_000_007 + trial + 11 * attempt,
                              h.m, h.n, RankOneKind.ROW)
-        p = p1.add(p2)
-        try:
-            after = weyr_characteristic(h.add(p))
-            break
-        except IrrationalSpectrumError:
-            continue
-    else:
-        raise AssertionError("could not draw a rational-spectrum probe")
+        return p1.add(p2)
+
+    _, after = rational_perturbation(h, probe)
     gap = after.rank - before.rank
     count = 0
     if -1 <= gap <= 1:
-        relation = {0: RankRelation.EQUAL, -1: RankRelation.MINUS_ONE,
-                    1: RankRelation.PLUS_ONE}[gap]
+        relation = RankRelation.of_gap(gap)
         for sc in (Scenario(None, relation), Scenario(None, RankRelation.UNKNOWN)):
             count += len(check_bounds(before, after, sc).violations)
     else:
@@ -125,6 +125,7 @@ def run_campaign(config: CampaignConfig) -> dict:
             if len(counterexamples) < 10:
                 counterexamples.append(outcome)
     compared, mismatches = concordance_mismatches(config.concordance_weight)
+    witnessed, unexplained = split_mismatches(mismatches)
     summary = {
         "config": {
             "seed": config.seed,
@@ -136,7 +137,8 @@ def run_campaign(config: CampaignConfig) -> dict:
         },
         "perturbation": {"trials": config.trials, "violations": violations,
                          "counterexamples": counterexamples},
-        "concordance": {"pairs": compared, "mismatches": len(mismatches)},
+        "concordance": {"pairs": compared, "mismatches": len(unexplained),
+                        "witnessed": len(witnessed)},
     }
     if config.fault_injection:
         probes = [fault_injection_trial(config, t) for t in range(min(config.trials, 50))]

@@ -16,9 +16,8 @@ import sys
 
 from .bounds import RankRelation, Scenario, check_bounds
 from .builder import build_pencil, random_equivalence, random_rank_one
-from .campaign import CampaignConfig, run_campaign
-from .completion import (Direction, Target, prescribed_completion_conditions,
-                         prescribed_sub_conditions, realize_companion)
+from .campaign import CampaignConfig, rational_perturbation, run_campaign
+from .completion import Direction, Prescription, Target
 from .extractor import (IrrationalSpectrumError, WeyrChar, strictly_equivalent,
                         weyr_characteristic)
 from .fixtures import run_fixtures
@@ -94,9 +93,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-_KINDS = {"col": RankOneKind.COLUMN, "row": RankOneKind.ROW}
-
-
 def cmd_perturb(args) -> int:
     h = _load_pencil(args.pencil)
     before = weyr_characteristic(h)
@@ -110,24 +106,12 @@ def cmd_perturb(args) -> int:
     elif args.random:
         if args.kind is None:
             raise InputError("--random needs --kind {row,col}")
-        # redraw deterministically until the perturbed spectrum is rational,
-        # mirroring the campaign: only such outcomes are exactly analyzable
-        for attempt in range(10_000):
-            p = random_rank_one((args.seed or 0) + 4099 * attempt, h.m, h.n,
-                                _KINDS[args.kind])
-            try:
-                after = weyr_characteristic(h.add(p))
-                break
-            except IrrationalSpectrumError:
-                continue
-        else:
-            raise InputError("no rational-spectrum perturbation found")
+        p, after = rational_perturbation(h, lambda attempt: random_rank_one(
+            (args.seed or 0) + 4099 * attempt, h.m, h.n, RankOneKind(args.kind)))
     else:
         raise InputError("provide a perturbation file or --random")
     kind = classify_rank_one(p).kind
-    gap = after.rank - before.rank
-    relation = {0: RankRelation.EQUAL, -1: RankRelation.MINUS_ONE,
-                1: RankRelation.PLUS_ONE}[gap]
+    relation = RankRelation.of_gap(after.rank - before.rank)
     exact = Scenario(kind, relation)
     wanted = {
         "exact": [exact],
@@ -146,12 +130,6 @@ def cmd_perturb(args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
-_TARGETS = {"regular": Target.REGULAR_PART, "col": Target.COLUMN_STAR,
-            "row": Target.ROW_STAR}
-_RELS = {"equal": RankRelation.EQUAL, "minus-one": RankRelation.MINUS_ONE,
-         "plus-one": RankRelation.PLUS_ONE}
-
-
 def _load_prescription(target: Target, path: str):
     data = _load_json(path)
     try:
@@ -165,16 +143,11 @@ def _load_prescription(target: Target, path: str):
 
 def cmd_feasible(args) -> int:
     omega = _load_weyr(args.known)
-    target = _TARGETS[args.target]
-    relation = _RELS[args.rel]
-    prescribed = _load_prescription(target, args.prescribed)
-    direction = (Direction.FULL_PRESCRIBED if args.direction == "sub"
-                 else Direction.SUBPENCIL_PRESCRIBED)
+    problem = Prescription(Target(args.target), Direction(args.direction),
+                           RankRelation(args.rel))
+    prescribed = _load_prescription(problem.target, args.prescribed)
     try:
-        if direction is Direction.FULL_PRESCRIBED:
-            conditions = prescribed_sub_conditions(omega, target, prescribed, relation)
-        else:
-            conditions = prescribed_completion_conditions(omega, target, prescribed, relation)
+        conditions = problem.conditions(omega, prescribed)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     feasible = all(ok for _, ok in conditions)
@@ -183,7 +156,7 @@ def cmd_feasible(args) -> int:
         "conditions": [{"tag": tag, "holds": ok} for tag, ok in conditions],
     }
     if feasible:
-        companion = realize_companion(omega, target, prescribed, relation, direction)
+        companion = problem.realize(omega, prescribed)
         payload["companion"] = companion.to_json()
     _emit(payload, args.format)
     return 0 if feasible else 1
@@ -215,7 +188,7 @@ def cmd_fixtures(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    kinds = tuple(_KINDS[k] for k in (args.kind or ["col", "row"]))
+    kinds = tuple(RankOneKind(k) for k in (args.kind or ["col", "row"]))
     config = CampaignConfig(seed=args.seed or 0, trials=args.trials,
                             size_budget=args.budget, kinds=kinds,
                             concordance_weight=args.concordance_weight,

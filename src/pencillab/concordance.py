@@ -197,3 +197,23 @@ def concordance_mismatches(max_total: int,
                 bad.append(Mismatch(omega_sub, omega_full,
                                     relation or RankRelation.UNKNOWN, predicted, oracle))
     return compared, bad
+
+
+def split_mismatches(mismatches: list[Mismatch]) -> tuple[list[Mismatch], list[Mismatch]]:
+    """Split mismatches into (witnessed, unexplained).
+
+    A witnessed mismatch is the oracle's entry-grid blind spot: a predicted
+    completion the grid misses, realized by an extraction-verified
+    companion_completion_witness row.  Every other mismatch, in particular
+    any completion the oracle reaches but the characterization rejects, is
+    unexplained.
+    """
+    witnessed: list[Mismatch] = []
+    unexplained: list[Mismatch] = []
+    for mm in mismatches:
+        if (mm.predicted and not mm.oracle
+                and companion_completion_witness(mm.omega_sub, mm.omega_full) is not None):
+            witnessed.append(mm)
+        else:
+            unexplained.append(mm)
+    return witnessed, unexplained

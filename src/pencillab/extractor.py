@@ -66,12 +66,6 @@ class WeyrChar:
     def n(self) -> int:
         return self.rank + self.col_star.zeroth
 
-    @property
-    def total_weight(self) -> int:
-        """Regular weight plus both star weights (zeroth terms included)."""
-        return (self.regular_weight + self.col_star.star_weight
-                + self.row_star.star_weight)
-
     def transpose_swap(self) -> "WeyrChar":
         return WeyrChar(self.regular, self.row_star, self.col_star)
 
@@ -110,12 +104,6 @@ class KroneckerStructure:
     multiplicities: tuple[tuple[Eigenvalue, Partition], ...]
     column_minimal: tuple[int, ...]
     row_minimal: tuple[int, ...]
-
-    def z(self, lam: Eigenvalue) -> Partition:
-        for mu, p in self.multiplicities:
-            if mu == lam:
-                return p
-        return ()
 
 
 def _pencil_poly_matrix(h: Pencil) -> list[list[pl.Poly]]:

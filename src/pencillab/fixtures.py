@@ -19,7 +19,7 @@ from .completion import (Direction, Target, check_completion_full,
                          feasible_prescribed_completion, feasible_prescribed_sub,
                          realize_companion, search_rank_one_witness)
 from .extractor import WeyrChar, weyr_char, weyr_characteristic
-from .partitions import Star, rle
+from .partitions import Star, rle, star
 from .pencils import RankOneKind, classify_rank_one
 
 F0 = Fraction(0)
@@ -56,8 +56,7 @@ class FixtureCase:
 
 
 def _star(*runs: tuple[int, int]) -> Star:
-    seq = rle(*runs)
-    return Star(seq[0], seq[1:]) if seq else Star(0, ())
+    return star(rle(*runs))
 
 
 def _cases() -> tuple[FixtureCase, ...]:
@@ -286,9 +285,7 @@ def run_fixture(case: FixtureCase) -> FixtureResult:
         if found:
             res.record("witness-kind", classify_rank_one(p).kind is case.scenario.kind)
             observed_rank = weyr_characteristic(h.add(p)).rank
-            expect = {RankRelation.EQUAL: omega.rank,
-                      RankRelation.MINUS_ONE: omega.rank - 1,
-                      RankRelation.PLUS_ONE: omega.rank + 1}[case.scenario.rank_relation]
+            expect = omega.rank + case.scenario.rank_relation.gap
             res.record("witness-rank-relation", observed_rank == expect)
     return res
 

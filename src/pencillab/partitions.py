@@ -223,18 +223,6 @@ def iter_partitions(total: int) -> Iterator[Partition]:
     yield from rec(total, total, ())
 
 
-def iter_partitions_upto(total: int) -> Iterator[Partition]:
-    """All partitions of every weight 0..total."""
-    for w in range(total + 1):
-        yield from iter_partitions(w)
-
-
-def iter_stars(star_weight_total: int) -> Iterator[Star]:
-    """All star partitions of exact star weight (zeroth term included)."""
-    for p in iter_partitions(star_weight_total):
-        yield Star(p[0], p[1:]) if p else Star(0, ())
-
-
 def iter_decreasing_sequences(length: int, max_entry: int) -> Iterator[tuple[int, ...]]:
     """All weakly decreasing sequences of the given length with entries in
     0..max_entry (length significant, trailing zeros kept)."""

@@ -1,6 +1,6 @@
 """Dense exact-rational matrices and the small amount of linear algebra the
-laboratory needs: reduced row echelon form, rank, kernels, and seeded
-unimodular transform generation.
+laboratory needs: reduced row echelon form, rank, and seeded unimodular
+transform generation.
 
 Matrices are immutable; 0-row and 0-column shapes are fully supported
 because zero minimal indices produce empty Kronecker blocks.
@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Row = tuple[Fraction, ...]
 
@@ -150,25 +150,6 @@ def rank(m: Matrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
     return len(rref(m.entries, m.cols)[0])
-
-
-def kernel_basis(m: Matrix) -> list[Row]:
-    """Basis of the right kernel {x : m x = 0}."""
-    if m.cols == 0:
-        return []
-    if m.rows == 0:
-        return [tuple(Fraction(1 if i == j else 0) for j in range(m.cols))
-                for i in range(m.cols)]
-    rows, pivots = rref(m.entries, m.cols)
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][f]
-        basis.append(tuple(v))
-    return basis
 
 
 def random_unimodular(n: int, rng: random.Random, ops: int | None = None) -> Matrix:

@@ -5,9 +5,9 @@ import pytest
 from pencillab.bounds import (Interval, RankRelation, Scenario, check_bounds,
                               completion_bounds, isqrt, perturbation_bounds,
                               two_sided_completion_bounds)
-from pencillab.builder import random_weyr
+from pencillab.builder import iter_weyr_chars, random_weyr
 from pencillab.extractor import weyr_char
-from pencillab.partitions import Star, rle
+from pencillab.partitions import Star, rle, star
 from pencillab.pencils import RankOneKind
 
 COL, ROW = RankOneKind.COLUMN, RankOneKind.ROW
@@ -20,8 +20,7 @@ def _om(regular=None, col=Star(0), row=Star(0)):
 
 
 def _star(*runs):
-    seq = rle(*runs)
-    return Star(seq[0], seq[1:]) if seq else Star(0)
+    return star(rle(*runs))
 
 
 def test_isqrt_exactness():
@@ -72,6 +71,107 @@ def test_perturbation_bounds_column_kind_examples():
     iv = perturbation_bounds(_om(), Scenario(None, UNK))
     assert (iv["w"].lower, iv["w"].upper) == (-2, 2)
     assert iv["w"].tag == "eqgpboundw"
+
+
+# The paper's printed formulas for the row kind, the unknown kind and the
+# fully unknown scenario.  The library derives them from the column kind;
+# these are the oracle it must reproduce, endpoints and tags alike.
+
+def _row_kind_bounds(omega, relation):
+    r = omega.col_star.tail_weight
+    r_star = omega.col_star.star_weight
+    s = omega.row_star.tail_weight
+    if relation is EQ:
+        if r == 0:
+            r_iv = Interval(0, 1, "eqgpboundrrrr1col")
+        else:
+            r_iv = Interval(-isqrt(r_star), isqrt(r_star), "eqgpboundrrrr1col")
+        if s == 0:
+            s_iv = Interval(0, 2, "eqgpboundsrrr1+col")
+        else:
+            s_iv = Interval(-isqrt(s) - 1, isqrt(s - 1) + 2, "eqgpboundsrrr1+col")
+        return {"w": Interval(-1, 1, "eqgpboundwrrr1"), "r": r_iv, "s": s_iv}
+    if relation is MINUS:
+        return {"w": Interval(-2, 0, "eqgpboundwrr+"),
+                "r": Interval(1 - isqrt(r_star + 1), 1, "eqgpboundrrr+col"),
+                "s": Interval(-isqrt(s), 1, "eqgpboundsrr+col")}
+    return {"w": Interval(0, 2, "eqgpboundwr+r"),
+            "r": Interval(-1, -1 + isqrt(r_star), "eqgpboundrr+rcol"),
+            "s": Interval(-1, isqrt(s + 1), "eqgpboundsr+rcol")}
+
+
+def _unknown_kind_bounds(omega, relation):
+    r = omega.col_star.tail_weight
+    r_star = omega.col_star.star_weight
+    s = omega.row_star.tail_weight
+    s_star = omega.row_star.star_weight
+    if relation is EQ:
+        if r == 0:
+            r_iv = Interval(0, 2, "eqgpboundrrrr1gilt")
+        else:
+            r_iv = Interval(min(-isqrt(r) - 1, -isqrt(r_star)),
+                            max(isqrt(r - 1) + 2, isqrt(r_star)), "eqgpboundrrrr1gilt")
+        if s == 0:
+            s_iv = Interval(0, 2, "eqgpboundrrrr1gilts")
+        else:
+            s_iv = Interval(min(-isqrt(s) - 1, -isqrt(s_star)),
+                            max(isqrt(s - 1) + 2, isqrt(s_star)), "eqgpboundrrrr1gilts")
+        return {"w": Interval(-1, 1, "eqgpboundwrrr1"), "r": r_iv, "s": s_iv}
+    if relation is MINUS:
+        return {"w": Interval(-2, 0, "eqgpboundwrr+"),
+                "r": Interval(min(1 - isqrt(r_star + 1), -isqrt(r)), 1, "eqgpboundrrr+rowcol"),
+                "s": Interval(min(1 - isqrt(s_star + 1), -isqrt(s)), 1, "eqgpboundsrr+rowcol")}
+    return {"w": Interval(0, 2, "eqgpboundwr+r"),
+            "r": Interval(-1, max(-1 + isqrt(r_star), isqrt(r + 1)), "eqgpboundrr+rrowcol"),
+            "s": Interval(-1, max(-1 + isqrt(s_star), isqrt(s + 1)), "eqgpboundsr+rrowcol")}
+
+
+def _fully_unknown_bounds(omega):
+    r = omega.col_star.tail_weight
+    r_star = omega.col_star.star_weight
+    s = omega.row_star.tail_weight
+    s_star = omega.row_star.star_weight
+    if r == 0:
+        r_iv = Interval(min(1 - isqrt(r_star + 1), -1),
+                        max(2, -1 + isqrt(r_star)), "eqgpboundr")
+    else:
+        r_iv = Interval(min(-isqrt(r_star), -1 - isqrt(r)),
+                        max(2 + isqrt(r - 1), isqrt(r_star)), "eqgpboundr")
+    if s == 0:
+        s_iv = Interval(min(1 - isqrt(s_star + 1), -1),
+                        max(2, -1 + isqrt(s_star)), "eqgpbounds")
+    else:
+        s_iv = Interval(min(-isqrt(s_star), -1 - isqrt(s)),
+                        max(2 + isqrt(s - 1), isqrt(s_star)), "eqgpbounds")
+    return {"w": Interval(-2, 2, "eqgpboundw"), "r": r_iv, "s": s_iv}
+
+
+def _printed_bounds(omega, scenario):
+    kind, rel = scenario.kind, scenario.rank_relation
+    if kind is None:
+        return _fully_unknown_bounds(omega) if rel is UNK else _unknown_kind_bounds(omega, rel)
+    if kind is COL:
+        def fn(om, case):
+            return perturbation_bounds(om, Scenario(COL, case))
+    else:
+        fn = _row_kind_bounds
+    if rel is not UNK:
+        return fn(omega, rel)
+    out = fn(omega, EQ)
+    for case in (MINUS, PLUS):
+        ivs = fn(omega, case)
+        out = {k: out[k].hull(ivs[k]) for k in out}
+    return out
+
+
+def test_derived_bounds_match_printed_formulas():
+    corpus = list(iter_weyr_chars(6)) + [random_weyr(seed, 12) for seed in range(3000)]
+    assert len(corpus) == 4424
+    scenarios = [Scenario(kind, rel) for kind in (COL, ROW, None)
+                 for rel in (EQ, MINUS, PLUS, UNK)]
+    for om in corpus:
+        for sc in scenarios:
+            assert perturbation_bounds(om, sc) == _printed_bounds(om, sc), (om, sc)
 
 
 def test_transpose_duality_of_kind_formulas():

@@ -15,6 +15,7 @@ def test_small_campaign_clean_and_deterministic():
     first = run_campaign(cfg)
     assert first["perturbation"]["violations"] == 0
     assert first["concordance"]["mismatches"] == 0
+    assert first["concordance"]["witnessed"] == 0
     assert json.dumps(first) == json.dumps(run_campaign(cfg))
 
 

@@ -2,9 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from pencillab.concordance import (companion_completion_witness,
+from pencillab.bounds import RankRelation
+from pencillab.concordance import (Mismatch, companion_completion_witness,
                                    completed_characteristics,
-                                   concordance_mismatches)
+                                   concordance_mismatches, split_mismatches)
 from pencillab.extractor import weyr_char, weyr_characteristic
 from pencillab.partitions import Star
 from pencillab.pencils import INF
@@ -34,11 +35,9 @@ def test_concordance_small_weights_clean():
 def test_concordance_weight_4_blind_spots_all_witnessed():
     compared, bad = concordance_mismatches(4)
     assert compared == 2441
-    for mm in bad:
-        # only the documented direction may appear, and each such pair must
-        # carry an explicit wider-entry completion witness
-        assert mm.predicted and not mm.oracle
-        assert companion_completion_witness(mm.omega_sub, mm.omega_full) is not None
+    witnessed, unexplained = split_mismatches(bad)
+    assert unexplained == []
+    assert len(witnessed) == 3
 
 
 def test_companion_witness_rejects_non_matching_shapes():
@@ -55,6 +54,16 @@ def test_companion_witness_verifies_by_extraction():
     stacked = companion_completion_witness(sub, full)
     assert stacked is not None
     assert weyr_characteristic(stacked) == full
+
+
+def test_split_mismatches_witnessed_and_unexplained():
+    sub = weyr_char({F(0): (1,)}, Star(1, (1, 1)), Star(0))
+    full = weyr_char({F(-1): (1,), F(0): (1,), F(1): (1,), F(2): (1,)},
+                     Star(0), Star(0))
+    blind_spot = Mismatch(sub, full, RankRelation.PLUS_ONE, predicted=True, oracle=False)
+    # the same pair found by the oracle but rejected by the theory has no excuse
+    oracle_only = Mismatch(sub, full, RankRelation.PLUS_ONE, predicted=False, oracle=True)
+    assert split_mismatches([blind_spot, oracle_only]) == ([blind_spot], [oracle_only])
 
 
 @pytest.mark.slow

@@ -120,14 +120,3 @@ def test_empty_shapes():
     assert back == z
     z2 = Pencil(Matrix(2, 0, ((), ())), Matrix(2, 0, ((), ())))
     assert normal_rank(z2) == 0
-
-
-def test_kernel_basis():
-    from pencillab.rmatrix import kernel_basis
-    m = Matrix.from_rows([[1, 2, 3], [0, 0, 1]])
-    basis = kernel_basis(m)
-    assert len(basis) == 1
-    v = basis[0]
-    assert all(sum(r[j] * v[j] for j in range(3)) == 0 for r in m.entries)
-    assert kernel_basis(Matrix.identity(2)) == []
-    assert len(kernel_basis(Matrix(0, 2, ()))) == 2
