@@ -7,8 +7,7 @@ from .bounds import (BoundReport, Interval, RankRelation, Scenario, check_bounds
 from .builder import (EIGENVALUE_POOL, build_pencil, iter_weyr_chars,
                       random_equivalence, random_rank_one, random_weyr)
 from .completion import (Direction, Prescription, Target, check_completion_full,
-                         completion_conditions, feasible_prescribed_completion,
-                         feasible_prescribed_sub, realize_companion,
+                         completion_conditions, realize_companion,
                          search_rank_one_witness)
 from .extractor import (IrrationalSpectrumError, KroneckerStructure, WeyrChar,
                         kronecker_structure, minimal_indices, partial_multiplicities,

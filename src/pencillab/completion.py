@@ -1,9 +1,9 @@
 """Row-completion characterizations and constructions.
 
 ``check_completion_full`` decides whether a pencil with one characteristic
-can appear as a one-row-smaller subpencil of another.  The prescription
-predicates decide the same question when only one component of the missing
-side is pinned down, and ``realize_companion`` produces an explicit full
+can appear as a one-row-smaller subpencil of another.  A ``Prescription``
+decides the same question when only one component of the missing side is
+pinned down, and ``realize_companion`` produces an explicit full
 companion characteristic witnessing feasibility.  A seeded Monte-Carlo
 search for explicit rank-one perturbation witnesses rounds the module off.
 """
@@ -51,12 +51,21 @@ class Prescription:
     direction: Direction
     rank_relation: RankRelation
 
+    @property
+    def completion_relation(self) -> RankRelation:
+        """rank(full) relative to rank(sub): a subpencil rank drop is, seen
+        from the completion, a rank gain."""
+        if self.rank_relation is RankRelation.MINUS_ONE:
+            return RankRelation.PLUS_ONE
+        return self.rank_relation
+
     def conditions(self, omega_known: WeyrChar, prescribed) -> list["Condition"]:
+        prescribed = _validate_prescribed(self.target, prescribed)
         if self.direction is Direction.FULL_PRESCRIBED:
-            return prescribed_sub_conditions(omega_known, self.target, prescribed,
-                                             self.rank_relation)
-        return prescribed_completion_conditions(omega_known, self.target, prescribed,
-                                                self.rank_relation)
+            return _sub_conditions(omega_known, self.target, prescribed,
+                                   self.rank_relation)
+        return _completion_conditions(omega_known, self.target, prescribed,
+                                      self.rank_relation)
 
     def feasible(self, omega_known: WeyrChar, prescribed) -> bool:
         return all(ok for _, ok in self.conditions(omega_known, prescribed))
@@ -134,26 +143,27 @@ def check_completion_full(omega_sub: WeyrChar, omega_full: WeyrChar,
     return all(ok for _, ok in completion_conditions(omega_sub, omega_full, relation))
 
 
-def _validate_prescribed(target: Target, prescribed) -> None:
+def _validate_prescribed(target: Target, prescribed):
+    """The prescription with each regular-part partition normalized."""
     if target is Target.REGULAR_PART:
         if not isinstance(prescribed, dict):
             raise ValueError("regular-part prescription must map eigenvalues to partitions")
-    elif not isinstance(prescribed, Star):
+        return {lam: partition(p) for lam, p in prescribed.items()}
+    if not isinstance(prescribed, Star):
         raise ValueError("star prescriptions must be star partitions")
+    return prescribed
 
 
-def prescribed_sub_conditions(omega: WeyrChar, target: Target, prescribed,
-                              relation: RankRelation) -> list[Condition]:
+def _sub_conditions(omega: WeyrChar, target: Target, prescribed,
+                    relation: RankRelation) -> list[Condition]:
     """Feasibility conditions with the full pencil known and one invariant
-    of the one-row-smaller subpencil prescribed."""
-    _validate_prescribed(target, prescribed)
+    of the one-row-smaller subpencil prescribed (already validated)."""
     w_full = _w_map(omega)
     r_star, s_star = omega.col_star, omega.row_star
     if relation is RankRelation.EQUAL:
         if target is Target.REGULAR_PART:
-            w_sub = {lam: partition(p) for lam, p in prescribed.items()}
-            x = _w_weight(w_sub) - omega.regular_weight
-            return [("interww1w+1", _interlace_up(w_full, w_sub)),
+            x = _w_weight(prescribed) - omega.regular_weight
+            return [("interww1w+1", _interlace_up(w_full, prescribed)),
                     ("eqs0geq1+eqws", deficit_feasible(s_star, x))]
         if target is Target.COLUMN_STAR:
             return [("coleqconj", prescribed == r_star),
@@ -162,9 +172,8 @@ def prescribed_sub_conditions(omega: WeyrChar, target: Target, prescribed,
                 ("abss1leqabss", prescribed.star_weight < s_star.star_weight)]
     if relation is RankRelation.MINUS_ONE:
         if target is Target.REGULAR_PART:
-            w_sub = {lam: partition(p) for lam, p in prescribed.items()}
-            return [("interw-1w1w", _interlace_down(w_full, w_sub)),
-                    ("eqwr+", _w_weight(w_sub) - omega.regular_weight + 1
+            return [("interw-1w1w", _interlace_down(w_full, prescribed)),
+                    ("eqwr+", _w_weight(prescribed) - omega.regular_weight + 1
                      <= r_star.tail_weight)]
         if target is Target.COLUMN_STAR:
             delta = prescribed.tail_weight - r_star.tail_weight + 1
@@ -176,17 +185,15 @@ def prescribed_sub_conditions(omega: WeyrChar, target: Target, prescribed,
     raise ValueError("subpencil rank is the full rank or one less")
 
 
-def prescribed_completion_conditions(omega_sub: WeyrChar, target: Target, prescribed,
-                                     relation: RankRelation) -> list[Condition]:
+def _completion_conditions(omega_sub: WeyrChar, target: Target, prescribed,
+                           relation: RankRelation) -> list[Condition]:
     """Feasibility conditions with the subpencil known and one invariant of
-    the one-row-larger completed pencil prescribed."""
-    _validate_prescribed(target, prescribed)
+    the one-row-larger completed pencil prescribed (already validated)."""
     w_sub = _w_map(omega_sub)
     r1_star, s1_star = omega_sub.col_star, omega_sub.row_star
     if relation is RankRelation.EQUAL:
         if target is Target.REGULAR_PART:
-            w_full = {lam: partition(p) for lam, p in prescribed.items()}
-            return [("interww1w+1", _interlace_up(w_full, w_sub))]
+            return [("interww1w+1", _interlace_up(prescribed, w_sub))]
         if target is Target.COLUMN_STAR:
             return [("coleqconj", prescribed == r1_star)]
         delta = prescribed.tail_weight - s1_star.tail_weight
@@ -194,9 +201,8 @@ def prescribed_completion_conditions(omega_sub: WeyrChar, target: Target, prescr
                 ("eqqsmins1leqz", 0 <= delta <= _z1_sum(w_sub))]
     if relation is RankRelation.PLUS_ONE:
         if target is Target.REGULAR_PART:
-            w_full = {lam: partition(p) for lam, p in prescribed.items()}
-            x = _w_weight(w_full) - _w_weight(w_sub) - 1
-            return [("interw-1w1w", _interlace_down(w_full, w_sub)),
+            x = _w_weight(prescribed) - _w_weight(w_sub) - 1
+            return [("interw-1w1w", _interlace_down(prescribed, w_sub)),
                     ("eqr10+eqwr", deficit_feasible(r1_star, x))]
         if target is Target.COLUMN_STAR:
             return [("colprecconj", is_conjugate_majorized(prescribed, r1_star)),
@@ -204,17 +210,6 @@ def prescribed_completion_conditions(omega_sub: WeyrChar, target: Target, prescr
         return [("roweqconj", prescribed == s1_star),
                 ("eqr10", r1_star.zeroth >= 1)]
     raise ValueError("the completed rank is the subpencil rank or one more")
-
-
-def feasible_prescribed_sub(omega: WeyrChar, target: Target, prescribed,
-                            relation: RankRelation) -> bool:
-    return all(ok for _, ok in prescribed_sub_conditions(omega, target, prescribed, relation))
-
-
-def feasible_prescribed_completion(omega_sub: WeyrChar, target: Target, prescribed,
-                                   relation: RankRelation) -> bool:
-    return all(ok for _, ok in
-               prescribed_completion_conditions(omega_sub, target, prescribed, relation))
 
 
 def _fresh_eigenvalue(wmap: WMap) -> Eigenvalue:
@@ -259,19 +254,17 @@ def realize_companion(omega_known: WeyrChar, target: Target, prescribed,
     """Full characteristic for the unprescribed side, following the explicit
     constructions; the result is always re-verified against
     check_completion_full."""
+    problem = Prescription(target, direction, relation)
+    if not problem.feasible(omega_known, prescribed):
+        raise ValueError("prescription is infeasible")
+    prescribed = _validate_prescribed(target, prescribed)
     if direction is Direction.FULL_PRESCRIBED:
-        if not feasible_prescribed_sub(omega_known, target, prescribed, relation):
-            raise ValueError("prescription is infeasible")
         companion = _realize_sub(omega_known, target, prescribed, relation)
         pair = (companion, omega_known)
     else:
-        if not feasible_prescribed_completion(omega_known, target, prescribed, relation):
-            raise ValueError("prescription is infeasible")
         companion = _realize_completion(omega_known, target, prescribed, relation)
         pair = (omega_known, companion)
-    # a subpencil rank drop is, seen from the completion, a rank gain
-    rel = RankRelation.PLUS_ONE if relation is RankRelation.MINUS_ONE else relation
-    assert check_completion_full(pair[0], pair[1], rel), \
+    assert check_completion_full(*pair, problem.completion_relation), \
         "companion construction failed its own characterization"
     return companion
 
@@ -282,9 +275,8 @@ def _realize_sub(omega: WeyrChar, target: Target, prescribed,
     r_star, s_star = omega.col_star, omega.row_star
     if relation is RankRelation.EQUAL:
         if target is Target.REGULAR_PART:
-            w_sub = {lam: partition(p) for lam, p in prescribed.items()}
-            x = _w_weight(w_sub) - omega.regular_weight
-            return weyr_char(w_sub, r_star, deficit_construct(s_star, x))
+            x = _w_weight(prescribed) - omega.regular_weight
+            return weyr_char(prescribed, r_star, deficit_construct(s_star, x))
         if target is Target.COLUMN_STAR:
             u1 = len(s_star.tail)
             w_sub = _bump(w_full, u1)
@@ -293,8 +285,7 @@ def _realize_sub(omega: WeyrChar, target: Target, prescribed,
         return weyr_char(_bump(w_full, x), r_star, prescribed)
     # relation MINUS_ONE
     if target is Target.REGULAR_PART:
-        w_sub = {lam: partition(p) for lam, p in prescribed.items()}
-        x = omega.regular_weight - _w_weight(w_sub) - 1
+        x = omega.regular_weight - _w_weight(prescribed) - 1
         if x == -1:
             c1 = len(r_star.tail)
             tail = list(r_star.tail)
@@ -302,7 +293,7 @@ def _realize_sub(omega: WeyrChar, target: Target, prescribed,
             col = Star(r_star.zeroth + 1, partition(tail))
         else:
             col = r_star.plus_partition((1,) * (x + 1))
-        return weyr_char(w_sub, col, s_star)
+        return weyr_char(prescribed, col, s_star)
     if target is Target.COLUMN_STAR:
         x = prescribed.tail_weight - r_star.tail_weight + 1
         return weyr_char(_shrink_last_ones(w_full, x), prescribed, s_star)
@@ -325,18 +316,16 @@ def _realize_completion(omega_sub: WeyrChar, target: Target, prescribed,
     r1_star, s1_star = omega_sub.col_star, omega_sub.row_star
     if relation is RankRelation.EQUAL:
         if target is Target.REGULAR_PART:
-            w_full = {lam: partition(p) for lam, p in prescribed.items()}
-            x = _w_weight(w_sub) - _w_weight(w_full)
-            return weyr_char(w_full, r1_star, s1_star.plus_partition((1,) * (x + 1)))
+            x = _w_weight(w_sub) - _w_weight(prescribed)
+            return weyr_char(prescribed, r1_star, s1_star.plus_partition((1,) * (x + 1)))
         if target is Target.COLUMN_STAR:
             return weyr_char(w_sub, r1_star, Star(s1_star.zeroth + 1, s1_star.tail))
         y = prescribed.tail_weight - s1_star.tail_weight
         return weyr_char(_shrink_last_ones(w_sub, y), r1_star, prescribed)
     # relation PLUS_ONE
     if target is Target.REGULAR_PART:
-        w_full = {lam: partition(p) for lam, p in prescribed.items()}
-        x = _w_weight(w_full) - _w_weight(w_sub) - 1
-        return weyr_char(w_full, deficit_construct(r1_star, x), s1_star)
+        x = _w_weight(prescribed) - _w_weight(w_sub) - 1
+        return weyr_char(prescribed, deficit_construct(r1_star, x), s1_star)
     if target is Target.COLUMN_STAR:
         x = r1_star.tail_weight - prescribed.tail_weight + 1
         return weyr_char(_bump(w_sub, x), prescribed, s1_star)

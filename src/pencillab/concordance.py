@@ -27,6 +27,12 @@ from .pencils import INF, Pencil
 from .rmatrix import Matrix
 
 
+def _stack_row(sub: Pencil, row_a, row_b) -> Pencil:
+    """The pencil with the row a + bs stacked on top of sub."""
+    return Pencil(Matrix(sub.m + 1, sub.n, (tuple(map(Fraction, row_a)),) + sub.a.entries),
+                  Matrix(sub.m + 1, sub.n, (tuple(map(Fraction, row_b)),) + sub.b.entries))
+
+
 def completed_characteristics(omega_sub: WeyrChar,
                               entries: tuple[int, ...] = (-1, 0, 1)) -> set[WeyrChar]:
     """Every Weyr characteristic reachable by stacking one extra row with
@@ -71,10 +77,7 @@ def completed_characteristics(omega_sub: WeyrChar,
         full = [0] * (2 * n)
         for idx, f in enumerate(free):
             full[f] = key[idx]
-        row_a = tuple(Fraction(x) for x in full[:n])
-        row_b = tuple(Fraction(x) for x in full[n:])
-        stacked = Pencil(Matrix(sub.m + 1, n, (row_a,) + sub.a.entries),
-                         Matrix(sub.m + 1, n, (row_b,) + sub.b.entries))
+        stacked = _stack_row(sub, full[:n], full[n:])
         try:
             omega = weyr_characteristic(stacked)
         except IrrationalSpectrumError:
@@ -140,9 +143,7 @@ def companion_completion_witness(omega_sub: WeyrChar,
         row_a[offset + j] = (-1) ** (k + j) * chi[j]
     if not has_inf:
         row_b[offset + k] = Fraction(1)
-    sub = build_pencil(omega_sub)
-    stacked = Pencil(Matrix(sub.m + 1, n, (tuple(row_a),) + sub.a.entries),
-                     Matrix(sub.m + 1, n, (tuple(row_b),) + sub.b.entries))
+    stacked = _stack_row(build_pencil(omega_sub), row_a, row_b)
     try:
         if weyr_characteristic(stacked) == omega_full:
             return stacked

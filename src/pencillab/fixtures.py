@@ -13,13 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bounds import RankRelation, Scenario, check_bounds, perturbation_bounds
+from .bounds import RankRelation, Scenario, check_bounds
 from .builder import build_pencil
-from .completion import (Direction, Target, check_completion_full,
-                         feasible_prescribed_completion, feasible_prescribed_sub,
-                         realize_companion, search_rank_one_witness)
+from .completion import (Direction, Prescription, Target, check_completion_full,
+                         search_rank_one_witness)
 from .extractor import WeyrChar, weyr_char, weyr_characteristic
-from .partitions import Star, rle, star
+from .partitions import Star, part, rle, star
 from .pencils import RankOneKind, classify_rank_one
 
 F0 = Fraction(0)
@@ -223,15 +222,6 @@ class FixtureResult:
                            for n, ok, i in self.checks]}
 
 
-def _star_diff(after: Star, before: Star, index: int) -> int:
-    return after.get(index) - before.get(index)
-
-
-def _w_diff(after: WeyrChar, before: WeyrChar, lam, index: int) -> int:
-    from .partitions import part
-    return part(after.w(lam), index) - part(before.w(lam), index)
-
-
 def run_fixture(case: FixtureCase) -> FixtureResult:
     res = FixtureResult(case.id)
     omega, sub, hat = case.omega, case.omega_sub, case.omega_hat
@@ -239,37 +229,30 @@ def run_fixture(case: FixtureCase) -> FixtureResult:
     res.record("ambient", (hat.m, hat.n) == (omega.m, omega.n)
                and (sub.m, sub.n) == (omega.m - 1, omega.n))
 
-    ok1 = feasible_prescribed_sub(omega, case.step1.target, case.step1.prescribed,
-                                  case.step1.relation)
-    res.record("step1-feasible", ok1)
-    comp1 = realize_companion(omega, case.step1.target, case.step1.prescribed,
-                              case.step1.relation, Direction.FULL_PRESCRIBED)
+    step1 = Prescription(case.step1.target, Direction.FULL_PRESCRIBED, case.step1.relation)
+    res.record("step1-feasible", step1.feasible(omega, case.step1.prescribed))
+    comp1 = step1.realize(omega, case.step1.prescribed)
     res.record("step1-companion", comp1 is not None)
+    res.record("sub-completes-to-omega",
+               check_completion_full(sub, omega, step1.completion_relation))
 
-    rel1 = (RankRelation.EQUAL if case.step1.relation is RankRelation.EQUAL
-            else RankRelation.PLUS_ONE)
-    res.record("sub-completes-to-omega", check_completion_full(sub, omega, rel1))
-
-    ok2 = feasible_prescribed_completion(sub, case.step2.target, case.step2.prescribed,
-                                         case.step2.relation)
-    res.record("step2-feasible", ok2)
-    comp2 = realize_companion(sub, case.step2.target, case.step2.prescribed,
-                              case.step2.relation, Direction.SUBPENCIL_PRESCRIBED)
+    step2 = Prescription(case.step2.target, Direction.SUBPENCIL_PRESCRIBED,
+                         case.step2.relation)
+    res.record("step2-feasible", step2.feasible(sub, case.step2.prescribed))
+    comp2 = step2.realize(sub, case.step2.prescribed)
     res.record("step2-companion", comp2 is not None)
     res.record("sub-completes-to-hat", check_completion_full(sub, hat, case.step2.relation))
 
     report = check_bounds(omega, hat, case.scenario)
     res.record("bounds-respected", report.ok, f"{len(report.violations)} violations")
 
-    intervals = perturbation_bounds(omega, case.scenario)
     for ext in case.extremes:
         if ext.component == "w":
-            observed = _w_diff(hat, omega, ext.eigenvalue, ext.index)
-        elif ext.component == "r":
-            observed = _star_diff(hat.col_star, omega.col_star, ext.index)
+            observed = part(dict(report.w_diffs).get(ext.eigenvalue, ()), ext.index)
         else:
-            observed = _star_diff(hat.row_star, omega.row_star, ext.index)
-        iv = intervals[ext.component]
+            diffs = report.r_diffs if ext.component == "r" else report.s_diffs
+            observed = part(diffs, ext.index + 1)  # star differences start at index 0
+        iv = report.intervals[ext.component]
         bound = iv.lower if ext.endpoint == "lower" else iv.upper
         res.record(f"extreme-{ext.component}{ext.index}",
                    observed == ext.value and bound == ext.value,

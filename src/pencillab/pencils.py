@@ -60,9 +60,6 @@ class Pencil:
     def shape(self) -> tuple[int, int]:
         return (self.m, self.n)
 
-    def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero()
-
     def add(self, other: "Pencil") -> "Pencil":
         return Pencil(self.a.add(other.a), self.b.add(other.b))
 

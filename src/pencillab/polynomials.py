@@ -46,12 +46,6 @@ def psub(p: Poly, q: Poly) -> Poly:
     return pnorm(out)
 
 
-def pscale(p: Poly, a: Fraction) -> Poly:
-    if a == 0:
-        return PZERO
-    return tuple(a * x for x in p)
-
-
 def pmul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return PZERO
@@ -71,18 +65,14 @@ def pdivmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
     dq = len(q) - 1
     lead = q[-1]
     quo = [Fraction(0)] * max(0, len(p) - dq)
-    while len(rem) - 1 >= dq and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dq:
-            break
-        f = rem[-1] / lead
-        k = len(rem) - 1 - dq
-        quo[k] = f
-        for i, b in enumerate(q):
-            rem[k + i] -= f * b
-        rem.pop()
-    return pnorm(quo), pnorm(rem)
+    for k in range(len(quo) - 1, -1, -1):
+        f = rem[k + dq] / lead
+        if f:
+            quo[k] = f
+            # the top coefficient rem[k + dq] cancels exactly
+            for i in range(dq):
+                rem[k + i] -= f * q[i]
+    return pnorm(quo), pnorm(rem[:dq])
 
 
 def pmonic(p: Poly) -> Poly:
@@ -165,8 +155,9 @@ def rational_roots(p: Poly) -> dict[Fraction, int]:
     for c in ints:
         g = gcd(g, c)
     ints = [c // g for c in ints]
+    dens = _divisors(ints[-1])
     for num in _divisors(ints[0]):
-        for q in _divisors(ints[-1]):
+        for q in dens:
             for cand in (Fraction(num, q), Fraction(-num, q)):
                 if peval(p, cand) == 0:
                     mult, p = linear_valuation(p, cand)
@@ -179,15 +170,16 @@ def rational_roots(p: Poly) -> dict[Fraction, int]:
 def smith_diagonal(mat: list[list[Poly]], m: int, n: int) -> list[Poly]:
     """Smith normal form diagonal of an m x n polynomial matrix over Q[s].
 
-    Classic gcd elimination with minimal-degree pivoting; returns the monic
-    nonzero invariant factors d_1 | d_2 | ... in divisibility order.
+    Gcd elimination with minimal-degree pivoting; returns the monic nonzero
+    invariant factors d_1 | d_2 | ... in divisibility order.  Every nonzero
+    remainder has a lower degree than the pivot and becomes the next pivot,
+    so the pivot degree falls at each restart and the loop terminates.
     """
     a = [row[:] for row in mat]
     diag: list[Poly] = []
     t = 0
-    size = min(m, n)
-    while t < size:
-        # locate a minimal-degree nonzero pivot in the trailing submatrix
+    while t < min(m, n):
+        # the first minimal-degree nonzero entry of the trailing block
         best = None
         for i in range(t, m):
             for j in range(t, n):
@@ -202,70 +194,34 @@ def smith_diagonal(mat: list[list[Poly]], m: int, n: int) -> list[Poly]:
         if best is None:
             break
         _, bi, bj = best
-        if bi != t:
-            a[t], a[bi] = a[bi], a[t]
+        a[t], a[bi] = a[bi], a[t]
         if bj != t:
             for row in a:
                 row[t], row[bj] = row[bj], row[t]
-        if len(a[t][t]) == 1:
-            # constant pivot: one exact sweep clears row and column
-            inv = 1 / a[t][t][0]
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    f = pscale(a[i][t], inv)
-                    for j in range(t, n):
-                        if a[t][j]:
-                            a[i][j] = psub(a[i][j], pmul(f, a[t][j]))
-            for j in range(t + 1, n):
-                a[t][j] = PZERO
-            diag.append(PONE)
-            t += 1
-            continue
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q, r = pdivmod(a[i][t], a[t][t])
-                    if q:
-                        for j in range(t, n):
-                            if a[t][j]:
-                                a[i][j] = psub(a[i][j], pmul(q, a[t][j]))
-                    if r:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q, r = pdivmod(a[t][j], a[t][t])
-                    if q:
-                        for i in range(t, m):
-                            if a[i][t]:
-                                a[i][j] = psub(a[i][j], pmul(q, a[i][t]))
-                    if r:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            if any(a[i][t] for i in range(t + 1, m)):
-                continue
-            break
-        # pivot must divide every remaining entry
-        fixed = True
+        pivot = a[t][t]
+        # row operations clear column t down to remainders
         for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] and not pdivides(a[t][t], a[i][j]):
-                    a[t] = [padd(x, y) for x, y in zip(a[t], a[i])]
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
+            if a[i][t]:
+                q, a[i][t] = pdivmod(a[i][t], pivot)
+                for j in range(t + 1, n):
+                    if a[t][j]:
+                        a[i][j] = psub(a[i][j], pmul(q, a[t][j]))
+        if any(a[i][t] for i in range(t + 1, m)):
             continue
-        diag.append(pmonic(a[t][t]))
+        # with column t clear, a column operation changes row t alone
+        for j in range(t + 1, n):
+            if a[t][j]:
+                a[t][j] = pdivmod(a[t][j], pivot)[1]
+        if any(a[t][t + 1:]):
+            continue
+        # the pivot must divide every remaining entry; a constant always does
+        if pdeg(pivot) > 0:
+            bad = next((i for i in range(t + 1, m)
+                        if any(x and not pdivides(pivot, x) for x in a[i][t + 1:])), None)
+            if bad is not None:
+                a[t] = [padd(x, y) for x, y in zip(a[t], a[bad])]
+                continue
+        diag.append(pmonic(pivot))
         t += 1
     for k in range(len(diag) - 1):
         assert pdivides(diag[k], diag[k + 1]), "invariant factors out of order"

@@ -61,13 +61,6 @@ class Matrix:
         return Matrix(n, n, tuple(tuple(Fraction(1 if i == j else 0) for j in range(n))
                                   for i in range(n)))
 
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self.entries[i][j]
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
-
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows,
                       tuple(tuple(self.entries[i][j] for i in range(self.rows))

@@ -71,7 +71,7 @@ def test_criterion_2_round_trip_identity():
 
 def test_criterion_3_perturbation_soundness():
     t0 = time.time()
-    config = CampaignConfig(seed=2024, trials=1000, size_budget=6, max_dim=6)
+    config = CampaignConfig(seed=2024, trials=1000, size_budget=6)
     violations = 0
     for trial in range(config.trials):
         outcome = perturbation_trial(config, trial)

@@ -21,7 +21,7 @@ def test_small_campaign_clean_and_deterministic():
 
 def test_fault_injection_probes_break_rank_one_intervals():
     cfg = CampaignConfig(seed=5, trials=40, size_budget=5)
-    hits = sum(1 for t in range(40) if fault_injection_trial(cfg, t)["violations"] != 0)
+    hits = sum(1 for t in range(40) if fault_injection_trial(cfg, t)["violations"] > 0)
     # rank-two perturbations are outside every stated hypothesis; if none of
     # them ever violated the rank-one intervals the checker would be vacuous
     assert hits > 0

@@ -4,10 +4,8 @@ import pytest
 
 from pencillab.bounds import RankRelation
 from pencillab.builder import build_pencil, iter_weyr_chars
-from pencillab.completion import (Direction, Target, check_completion_full,
-                                  completion_conditions,
-                                  feasible_prescribed_completion,
-                                  feasible_prescribed_sub, realize_companion,
+from pencillab.completion import (Direction, Prescription, Target,
+                                  check_completion_full, completion_conditions,
                                   search_rank_one_witness)
 from pencillab.extractor import weyr_char, weyr_characteristic
 from pencillab.partitions import Star
@@ -18,6 +16,14 @@ EQ, MINUS, PLUS = (RankRelation.EQUAL, RankRelation.MINUS_ONE, RankRelation.PLUS
 
 def _om(regular=None, col=Star(0), row=Star(0)):
     return weyr_char(regular or {}, col, row)
+
+
+def _sub(target, relation):
+    return Prescription(target, Direction.FULL_PRESCRIBED, relation)
+
+
+def _completion(target, relation):
+    return Prescription(target, Direction.SUBPENCIL_PRESCRIBED, relation)
 
 
 def test_check_completion_full_row_growth_case():
@@ -50,35 +56,35 @@ def test_feasible_prescribed_sub_known_cases():
     # regular part prescribed, rank kept: the weight step must match the
     # first/second conjugate entries of the row data
     om = _om({}, col=Star(2), row=Star(1, (1,)))
-    assert feasible_prescribed_sub(om, Target.REGULAR_PART, {F(0): (1,)}, EQ)
-    assert not feasible_prescribed_sub(om, Target.REGULAR_PART, {F(0): (2,)}, EQ)
+    assert _sub(Target.REGULAR_PART, EQ).feasible(om, {F(0): (1,)})
+    assert not _sub(Target.REGULAR_PART, EQ).feasible(om, {F(0): (2,)})
 
     om = _om({F(0): (1, 1)}, col=Star(1))
-    assert feasible_prescribed_sub(om, Target.REGULAR_PART, {F(0): (1,)}, MINUS)
+    assert _sub(Target.REGULAR_PART, MINUS).feasible(om, {F(0): (1,)})
 
     om = _om({F(0): (1, 1)}, col=Star(2))
-    assert feasible_prescribed_sub(om, Target.COLUMN_STAR, Star(3, (1,)), MINUS)
-    assert not feasible_prescribed_sub(om, Target.COLUMN_STAR, Star(3, (1, 1, 1)), MINUS)
+    assert _sub(Target.COLUMN_STAR, MINUS).feasible(om, Star(3, (1,)))
+    assert not _sub(Target.COLUMN_STAR, MINUS).feasible(om, Star(3, (1, 1, 1)))
 
 
 def test_feasible_prescribed_completion_known_cases():
     sub = _om({F(0): (1,)}, row=Star(1))
-    assert feasible_prescribed_completion(sub, Target.ROW_STAR, Star(2, (1,)), EQ)
-    assert not feasible_prescribed_completion(sub, Target.ROW_STAR, Star(2, (1, 1)), EQ)
+    assert _completion(Target.ROW_STAR, EQ).feasible(sub, Star(2, (1,)))
+    assert not _completion(Target.ROW_STAR, EQ).feasible(sub, Star(2, (1, 1)))
 
     sub = _om({F(0): (1,)}, col=Star(2))
-    assert feasible_prescribed_completion(sub, Target.REGULAR_PART, {F(0): (2,)}, PLUS)
+    assert _completion(Target.REGULAR_PART, PLUS).feasible(sub, {F(0): (2,)})
 
     # trivially feasible: prescribe the subpencil's own regular part
-    assert feasible_prescribed_completion(sub, Target.REGULAR_PART, {F(0): (1,)}, EQ)
+    assert _completion(Target.REGULAR_PART, EQ).feasible(sub, {F(0): (1,)})
 
 
 def test_malformed_prescription_rejected():
     om = _om({F(0): (1,)}, row=Star(1))
     with pytest.raises(ValueError):
-        feasible_prescribed_sub(om, Target.REGULAR_PART, Star(1), EQ)
+        _sub(Target.REGULAR_PART, EQ).feasible(om, Star(1))
     with pytest.raises(ValueError):
-        feasible_prescribed_completion(om, Target.ROW_STAR, {F(0): (1,)}, EQ)
+        _completion(Target.ROW_STAR, EQ).feasible(om, {F(0): (1,)})
 
 
 def _prescribed_component(om, target):
@@ -115,11 +121,7 @@ def test_predicates_project_check_completion_full(direction, relations):
                               for c in companions}
                 for c in pool:
                     prescribed = _prescribed_component(c, target)
-                    if direction is Direction.FULL_PRESCRIBED:
-                        got = feasible_prescribed_sub(known, target, prescribed, relation)
-                    else:
-                        got = feasible_prescribed_completion(known, target,
-                                                             prescribed, relation)
+                    got = Prescription(target, direction, relation).feasible(known, prescribed)
                     assert got == (_freeze(prescribed) in achievable), \
                         (known, target, relation, prescribed)
 
@@ -144,15 +146,11 @@ def test_realize_companion_random_instances():
                         continue
                     if prescribed is None:
                         continue
-                    if direction is Direction.FULL_PRESCRIBED:
-                        ok = feasible_prescribed_sub(known, target, prescribed, relation)
-                    else:
-                        ok = feasible_prescribed_completion(known, target, prescribed,
-                                                            relation)
-                    if not ok:
+                    problem = Prescription(target, direction, relation)
+                    if not problem.feasible(known, prescribed):
                         continue
                     # realize_companion re-checks its own postcondition
-                    realize_companion(known, target, prescribed, relation, direction)
+                    problem.realize(known, prescribed)
                     count += 1
     assert count > 300
 
@@ -198,7 +196,7 @@ def _candidate_prescription(known, target, relation, direction):
 def test_realize_infeasible_raises():
     om = _om({F(0): (1,)})
     with pytest.raises(ValueError):
-        realize_companion(om, Target.ROW_STAR, Star(5), EQ, Direction.FULL_PRESCRIBED)
+        _sub(Target.ROW_STAR, EQ).realize(om, Star(5))
 
 
 def test_remark_rank_inequalities_on_accepted_pairs():
@@ -245,7 +243,6 @@ def test_witness_search_dimension_mismatch():
 
 
 def test_prescription_facade():
-    from pencillab.completion import Prescription
     om = _om({F(0): (1,)}, row=Star(1))
     p = Prescription(Target.ROW_STAR, Direction.SUBPENCIL_PRESCRIBED, EQ)
     assert p.feasible(om, Star(2, (1,))) is True

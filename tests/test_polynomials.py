@@ -62,3 +62,7 @@ def test_smith_diagonal_hand_cases():
     mat = [[s, PZERO], [PZERO, s_minus(F(1))]]
     assert smith_diagonal(mat, 2, 2) == [one, pmul(s, s_minus(F(1)))]
     assert smith_diagonal([[PZERO]], 1, 1) == []
+    # a remainder in the pivot column, then one in the pivot row, re-pivots
+    s2_plus_1 = pnorm((1, 0, 1))
+    assert smith_diagonal([[s], [s2_plus_1]], 2, 1) == [one]
+    assert smith_diagonal([[s, s2_plus_1]], 1, 2) == [one]
