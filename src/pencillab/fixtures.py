@@ -222,6 +222,17 @@ class FixtureResult:
                            for n, ok, i in self.checks]}
 
 
+def _record_step(res: FixtureResult, name: str, problem: Prescription,
+                 known: WeyrChar, prescribed) -> None:
+    feasible = problem.feasible(known, prescribed)
+    res.record(f"{name}-feasible", feasible)
+    # realize raises on an infeasible prescription and re-verifies the
+    # companion it builds, so the companion exists exactly when it returns
+    if feasible:
+        problem.realize(known, prescribed)
+    res.record(f"{name}-companion", feasible)
+
+
 def run_fixture(case: FixtureCase) -> FixtureResult:
     res = FixtureResult(case.id)
     omega, sub, hat = case.omega, case.omega_sub, case.omega_hat
@@ -230,17 +241,13 @@ def run_fixture(case: FixtureCase) -> FixtureResult:
                and (sub.m, sub.n) == (omega.m - 1, omega.n))
 
     step1 = Prescription(case.step1.target, Direction.FULL_PRESCRIBED, case.step1.relation)
-    res.record("step1-feasible", step1.feasible(omega, case.step1.prescribed))
-    comp1 = step1.realize(omega, case.step1.prescribed)
-    res.record("step1-companion", comp1 is not None)
+    _record_step(res, "step1", step1, omega, case.step1.prescribed)
     res.record("sub-completes-to-omega",
                check_completion_full(sub, omega, step1.completion_relation))
 
     step2 = Prescription(case.step2.target, Direction.SUBPENCIL_PRESCRIBED,
                          case.step2.relation)
-    res.record("step2-feasible", step2.feasible(sub, case.step2.prescribed))
-    comp2 = step2.realize(sub, case.step2.prescribed)
-    res.record("step2-companion", comp2 is not None)
+    _record_step(res, "step2", step2, sub, case.step2.prescribed)
     res.record("sub-completes-to-hat", check_completion_full(sub, hat, case.step2.relation))
 
     report = check_bounds(omega, hat, case.scenario)

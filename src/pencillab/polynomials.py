@@ -122,48 +122,113 @@ def linear_valuation(p: Poly, lam: Fraction) -> tuple[int, Poly]:
     return mult, p
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return sorted(out)
+def _primitive(c: list[int]) -> list[int]:
+    """Integer coefficients divided by their content, with a positive
+    leading coefficient."""
+    g = 0
+    for x in c:
+        g = gcd(g, x)
+    if c[-1] < 0:
+        g = -g
+    return [x // g for x in c]
+
+
+def _int_eval(c: list[int], x: int) -> int:
+    acc = 0
+    for a in reversed(c):
+        acc = acc * x + a
+    return acc
+
+
+def _int_derivative(c: list[int]) -> list[int]:
+    return [i * x for i, x in enumerate(c)][1:]
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of two nonzero integer polynomials, by the primitive
+    pseudo-remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        r = a
+        while len(r) >= len(b):
+            c, k = r[-1], len(r) - len(b)
+            r = [x * b[-1] for x in r]
+            for i, y in enumerate(b):
+                r[k + i] -= c * y
+            while r and r[-1] == 0:
+                r.pop()
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
+
+
+def _int_exact_div(f: list[int], g: list[int]) -> list[int]:
+    """f / g for a primitive g dividing f; the quotient is integral by
+    Gauss's lemma, so every step divides exactly."""
+    f = list(f)
+    out = [0] * (len(f) - len(g) + 1)
+    for k in range(len(out) - 1, -1, -1):
+        c = f[k + len(g) - 1] // g[-1]
+        out[k] = c
+        for i, y in enumerate(g):
+            f[k + i] -= c * y
+    return out
+
+
+def _is_prime(q: int) -> bool:
+    return q > 1 and all(q % d for d in range(2, isqrt(q) + 1))
 
 
 def rational_roots(p: Poly) -> dict[Fraction, int]:
-    """All rational roots of p with multiplicities (p nonzero)."""
+    """All rational roots of p with multiplicities (p nonzero).
+
+    p-adic lifting (von zur Gathen & Gerhard, Modern Computer Algebra,
+    ch. 15): with f the squarefree part of p over the integers and a its
+    leading coefficient, the rational roots of f are y/a for the integer
+    roots y of the monic F(y) = a^(d-1) f(y/a).  Each such y reduces to a
+    simple root of F modulo a prime q that keeps all its roots simple, and
+    Newton's step lifts that root to y modulo q^(2^k).  Every y divides
+    F(0) != 0, so a modulus above 2 max|F_i| pins it down.  The time is
+    polynomial in the size of p.
+    """
     if not p:
         raise ValueError("zero polynomial")
     roots: dict[Fraction, int] = {}
-    # strip the root at 0 first
-    v = 0
-    while p and p[0] == 0:
-        p = p[1:]
-        v += 1
+    v = next(i for i, c in enumerate(p) if c)
     if v:
         roots[Fraction(0)] = v
+        p = p[v:]
     if pdeg(p) < 1:
         return roots
     den = 1
     for c in p:
         den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in p]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    ints = [c // g for c in ints]
-    dens = _divisors(ints[-1])
-    for num in _divisors(ints[0]):
-        for q in dens:
-            for cand in (Fraction(num, q), Fraction(-num, q)):
-                if peval(p, cand) == 0:
-                    mult, p = linear_valuation(p, cand)
-                    roots[cand] = mult
-                    if pdeg(p) < 1:
-                        return roots
+    ints = _primitive([int(c * den) for c in p])
+    f = _int_exact_div(ints, _int_gcd(ints, _int_derivative(ints)))
+    d, a = len(f) - 1, f[-1]
+    big_f = [c * a ** (d - 1 - i) for i, c in enumerate(f[:-1])] + [1]
+    big_df = _int_derivative(big_f)
+    q = 1
+    while True:
+        q += 2
+        if not _is_prime(q):
+            continue
+        f_q = [c % q for c in big_f]
+        residues = [r for r in range(q) if _int_eval(f_q, r) % q == 0]
+        if all(_int_eval(big_df, r) % q for r in residues):
+            break
+    bound = 2 * max(abs(c) for c in big_f)
+    for y in residues:
+        m = q
+        while m <= bound:
+            m *= m
+            y = (y - _int_eval(big_f, y) * pow(_int_eval(big_df, y), -1, m)) % m
+        if y > m // 2:
+            y -= m
+        if _int_eval(big_f, y) == 0:
+            lam = Fraction(y, a)
+            roots[lam] = linear_valuation(p, lam)[0]
     return roots
 
 

@@ -1,4 +1,6 @@
 import json
+import time
+from fractions import Fraction as F
 
 import pytest
 
@@ -156,6 +158,23 @@ def test_irrational_spectrum_exit_2(capsys, tmp_path):
                              "B": [["1", "0"], ["0", "1"]]}))
     code, _, err = run(capsys, "invariants", str(h))
     assert code == 2 and "IRRATIONAL_SPECTRUM" in err
+
+
+def test_invariants_of_a_40_digit_eigenvalue(capsys, tmp_path):
+    data = {"regular": [{"lambda": str(F(-(10**39 + 3), 7)), "weyr": [1, 1]},
+                        {"lambda": "1", "weyr": [1]}],
+            "r_star": {"zeroth": 1, "tail": [1]},
+            "s_star": {"zeroth": 0, "tail": []}}
+    weyr = tmp_path / "weyr.json"
+    weyr.write_text(json.dumps(data))
+    code, pencil_json, _ = run(capsys, "generate", str(weyr), "--seed", "1")
+    assert code == 0
+    h = tmp_path / "h.json"
+    h.write_text(pencil_json)
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "invariants", str(h))
+    assert time.perf_counter() - started < 10
+    assert code == 0 and json.loads(out) == data
 
 
 def test_text_format(capsys, tmp_path, weyr_file):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -140,3 +141,16 @@ def test_reversal_swaps_zero_and_infinity():
         assert partial_multiplicities(rev, INF) == partial_multiplicities(h, F(0))
         assert partial_multiplicities(rev, F(0)) == partial_multiplicities(h, INF)
         assert minimal_indices(rev) == minimal_indices(h)
+
+
+@pytest.mark.parametrize("omega", [
+    # two 9-digit eigenvalues, so the top invariant factor ends near 10^24
+    weyr_char({F(-(10**8 + 7)): (1, 1), F(10**8 + 9, 3): (1,)}, Star(0), Star(0)),
+    # a 40-digit eigenvalue with a block of size 2
+    weyr_char({F(-(10**39 + 3), 7): (1, 1), F(1): (1,)}, Star(1, (1,)), Star(0)),
+])
+def test_large_eigenvalues_extract_within_budget(omega):
+    h = random_equivalence(build_pencil(omega), 1)
+    started = time.perf_counter()
+    assert weyr_characteristic(h) == omega
+    assert time.perf_counter() - started < 10

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 from pencillab.bounds import isqrt
 from pencillab.fixtures import FIXTURES, run_fixture, run_fixtures
+from pencillab.partitions import Star
 
 
 def test_thirteen_cases():
@@ -33,3 +36,13 @@ def test_fixture_report_shape():
     assert data["id"] == FIXTURES[0].id
     assert data["passed"] is True
     assert any(c["name"] == "witness-found" for c in data["checks"])
+
+
+def test_infeasible_step_fails_without_raising():
+    case = FIXTURES[1]
+    infeasible = replace(case, step1=replace(case.step1, prescribed=Star(9, (5,))))
+    res = run_fixture(infeasible)
+    checks = {name: ok for name, ok, _ in res.checks}
+    assert checks["step1-feasible"] is False
+    assert checks["step1-companion"] is False
+    assert res.passed is False

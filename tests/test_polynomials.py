@@ -1,6 +1,10 @@
+from collections import Counter
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from pencillab.polynomials import (PONE, PZERO, linear_valuation, padd, pdeg,
                                    pdivides, pdivmod, pmonic, pmul, pnorm, psub,
@@ -47,6 +51,43 @@ def test_linear_valuation_and_roots():
     assert rational_roots(pnorm((0, 0, 1))) == {F(0): 2}
     # irreducible over the rationals
     assert rational_roots(pnorm((-2, 0, 1))) == {}
+
+
+def test_rational_roots_skips_primes_with_colliding_roots():
+    # 1..12 collide modulo 3, 5, 7 and 11, so the first prime that keeps
+    # every root simple is 13
+    p = PONE
+    for i in range(1, 13):
+        p = pmul(p, s_minus(F(i)))
+    assert rational_roots(p) == {F(i): 1 for i in range(1, 13)}
+
+
+# heights spread evenly over the digit counts, up to 10^30 / 10^12
+numerators = st.integers(0, 30).flatmap(lambda k: st.integers(-10**k, 10**k))
+denominators = st.integers(0, 12).flatmap(lambda k: st.integers(1, 10**k))
+linear_factors = st.lists(st.tuples(numerators, denominators, st.integers(1, 3)),
+                          min_size=1, max_size=4)
+quadratic_factors = st.lists(
+    st.tuples(st.integers(1, 50), st.integers(-50, 50), st.integers(-50, 50),
+              st.integers(1, 2)),
+    max_size=2)
+contents = st.tuples(st.integers(1, 10**6) | st.integers(-10**6, -1), st.integers(1, 10**6))
+
+
+@given(linear_factors, quadratic_factors, contents)
+def test_rational_roots_recover_planted_roots(linears, quadratics, content):
+    p = (F(*content),)
+    planted = Counter()
+    for num, den, mult in linears:
+        planted[F(num, den)] += mult
+        for _ in range(mult):
+            p = pmul(p, s_minus(F(num, den)))
+    for a, b, c, mult in quadratics:
+        disc = b * b - 4 * a * c
+        assume(disc < 0 or isqrt(disc) ** 2 != disc)  # irreducible over Q
+        for _ in range(mult):
+            p = pmul(p, pnorm((c, b, a)))
+    assert rational_roots(p) == dict(planted)
 
 
 def test_smith_diagonal_hand_cases():
