@@ -47,9 +47,10 @@ def _trial_pencil(seed: int, trial: int, budget: int) -> Pencil:
 
 
 def rational_perturbation(h: Pencil, draw: Callable[[int], Pencil]
-                          ) -> tuple[Pencil, WeyrChar]:
+                          ) -> tuple[Pencil, WeyrChar, int]:
     """The first of draw(0), draw(1), ... whose sum with h has a rational
-    spectrum, and the characteristic of that sum.
+    spectrum, the characteristic of that sum, and the number of draws
+    rejected before it.
 
     The bounds hold for every rank-one perturbation, and the lab checks the
     outcomes it can represent exactly, so a draw that pushes the spectrum
@@ -58,7 +59,7 @@ def rational_perturbation(h: Pencil, draw: Callable[[int], Pencil]
     for attempt in range(10_000):
         p = draw(attempt)
         try:
-            return p, weyr_characteristic(h.add(p))
+            return p, weyr_characteristic(h.add(p)), attempt
         except IrrationalSpectrumError:
             continue
     raise ValueError("no rational-spectrum perturbation found")
@@ -71,7 +72,7 @@ def perturbation_trial(config: CampaignConfig, trial: int) -> dict:
     h = _trial_pencil(config.seed, trial, config.size_budget)
     kind = rng.choice(config.kinds)
     before = weyr_characteristic(h)
-    p, after = rational_perturbation(h, lambda attempt: random_rank_one(
+    p, after, redraws = rational_perturbation(h, lambda attempt: random_rank_one(
         config.seed * 7_000_003 + trial + 4099 * attempt, h.m, h.n, kind))
     observed_kind = classify_rank_one(p).kind
     relation = RankRelation.of_gap(after.rank - before.rank)
@@ -87,6 +88,7 @@ def perturbation_trial(config: CampaignConfig, trial: int) -> dict:
         "perturbation": p.to_json(),
         "kind": observed_kind.value,
         "rank_relation": relation.value,
+        "redraws": redraws,
         "violations": violations,
     }
 
@@ -106,7 +108,7 @@ def fault_injection_trial(config: CampaignConfig, trial: int) -> dict:
                              h.m, h.n, RankOneKind.ROW)
         return p1.add(p2)
 
-    _, after = rational_perturbation(h, probe)
+    _, after, _ = rational_perturbation(h, probe)
     gap = after.rank - before.rank
     count = 0
     if -1 <= gap <= 1:
@@ -118,10 +120,16 @@ def fault_injection_trial(config: CampaignConfig, trial: int) -> dict:
 
 def run_campaign(config: CampaignConfig) -> dict:
     """Full campaign summary (deterministic for a fixed config)."""
-    violations = 0
+    violations = redraws = 0
     counterexamples = []
+    # trials per observed (kind, rank relation), zeros included, so a
+    # scenario the sampling never reaches shows in the output
+    relations = (RankRelation.EQUAL, RankRelation.PLUS_ONE, RankRelation.MINUS_ONE)
+    scenarios = {kind.value: {rel.value: 0 for rel in relations} for kind in RankOneKind}
     for trial in range(config.trials):
         outcome = perturbation_trial(config, trial)
+        redraws += outcome["redraws"]
+        scenarios[outcome["kind"]][outcome["rank_relation"]] += 1
         if outcome["violations"]:
             violations += len(outcome["violations"])
             if len(counterexamples) < 10:
@@ -138,7 +146,8 @@ def run_campaign(config: CampaignConfig) -> dict:
             "concordance_weight": config.concordance_weight,
         },
         "perturbation": {"trials": config.trials, "violations": violations,
-                         "counterexamples": counterexamples},
+                         "counterexamples": counterexamples, "redraws": redraws,
+                         "scenarios": scenarios},
         "concordance": {"pairs": compared, "mismatches": len(unexplained),
                         "witnessed": len(witnessed)},
     }

@@ -106,7 +106,7 @@ def cmd_perturb(args) -> int:
     elif args.random:
         if args.kind is None:
             raise InputError("--random needs --kind {row,col}")
-        p, after = rational_perturbation(h, lambda attempt: random_rank_one(
+        p, after, _ = rational_perturbation(h, lambda attempt: random_rank_one(
             (args.seed or 0) + 4099 * attempt, h.m, h.n, RankOneKind(args.kind)))
     else:
         raise InputError("provide a perturbation file or --random")

@@ -2,12 +2,16 @@
 factors, partial multiplicities, minimal indices, and the assembled Weyr
 characteristic.
 
-Partial multiplicities come from the Smith normal form over Q[s] (infinity
-through the reversal pencil).  Minimal indices come from a subspace
-staircase: with S_0 = ker A and S_{d+1} = A^{-1}(B S_d), the dimension of
-S_d intersected with ker B equals the number of column minimal indices that
-are <= d.  An explicit block-convolution-matrix oracle of the same counts
-is provided for cross-validation.
+Both kernels run on the pencil's integer coefficient rows (denominators
+cleared once, a strict equivalence).  Partial multiplicities come from the
+Smith normal form over Q[s] of A + sB (infinity through the reversal
+B + sA).  Minimal indices come from a subspace staircase: with S_0 = ker A
+and S_{d+1} = A^{-1}(B S_d), the dimension of S_d intersected with ker B
+equals the number of column minimal indices that are <= d.  A is reduced
+once per staircase; each step then needs a basis of B S_d and the part of
+it inside im A.  Since S_d lies in S_{d+1}, the staircase stops when the
+dimension stops growing.  An explicit block-convolution-matrix oracle of
+the same counts is provided for cross-validation.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import polynomials as pl
-from .intlinalg import (int_rank, kernel_ints, mat_vec, preimage_basis,
-                        reduced_basis)
+from .intlinalg import eliminate, int_rank, mat_vec, preimage_basis, reduced_basis
 from .partitions import Partition, Star, conjugate, partition, weight
 from .pencils import INF, Eigenvalue, Pencil, eigenvalue_str, parse_eigenvalue, reversal
 from .pencils import transpose as pencil_transpose
@@ -106,14 +109,14 @@ class KroneckerStructure:
     row_minimal: tuple[int, ...]
 
 
-def _pencil_poly_matrix(h: Pencil) -> list[list[pl.Poly]]:
-    return [[pl.pnorm((h.a.entries[i][j], h.b.entries[i][j])) for j in range(h.n)]
-            for i in range(h.m)]
+def _smith(arows, brows, m: int, n: int) -> list[pl.Poly]:
+    """Invariant factors of the integer pencil arows + s brows."""
+    return pl.smith_diagonal([list(zip(ra, rb)) for ra, rb in zip(arows, brows)], m, n)
 
 
 def smith_invariant_factors(h: Pencil) -> list[pl.Poly]:
     """Monic invariant factors d_1 | d_2 | ... | d_rho of H(s) over Q[s]."""
-    return pl.smith_diagonal(_pencil_poly_matrix(h), h.m, h.n)
+    return _smith(*_int_rows(h), h.m, h.n)
 
 
 def partial_multiplicities(h: Pencil, lam: Eigenvalue) -> Partition:
@@ -153,14 +156,15 @@ def column_index_counts(h: Pencil) -> list[int]:
 
 
 def _column_index_counts_int(arows, brows, m: int, n: int) -> list[int]:
-    s_d = kernel_ints(arows, n)
+    elim = eliminate(arows, n)
+    s_d = elim.kernel
     counts: list[int] = []
     while True:
-        images = [v for v in (mat_vec(brows, x) for x in s_d) if any(v)]
-        img_basis = reduced_basis(images, m)[0]
+        img_basis = reduced_basis([mat_vec(brows, x) for x in s_d], m)[0]
         counts.append(len(s_d) - len(img_basis))
-        s_next = preimage_basis(arows, img_basis, n)
-        if s_next == s_d:
+        s_next = preimage_basis(elim, img_basis)
+        # S_d lies in S_{d+1}, so equal dimensions mean equal subspaces
+        if len(s_next) == len(s_d):
             break
         s_d = s_next
     return counts
@@ -228,7 +232,7 @@ def kronecker_structure(h: Pencil) -> KroneckerStructure:
     mult: dict[Eigenvalue, list[int]] = {}
     inf_weight = 0
     if int_rank(brows, h.n) < rho:
-        rev_factors = smith_invariant_factors(reversal(h))
+        rev_factors = _smith(brows, arows, h.m, h.n)
         per = [next((i for i, c in enumerate(d) if c), len(d)) for d in rev_factors]
         inf_weight = sum(per)
         mult[INF] = sorted(per, reverse=True)
@@ -236,7 +240,7 @@ def kronecker_structure(h: Pencil) -> KroneckerStructure:
     # the invariant weights sum to the rank, so a shortfall here certifies
     # the presence of finite eigenvalues (and only then is Smith needed)
     if sum(cols) + sum(rows) + inf_weight < rho:
-        factors = smith_invariant_factors(h)
+        factors = _smith(arows, brows, h.m, h.n)
         assert len(factors) == rho, "Smith form rank disagrees with staircase rank"
         top = factors[-1]
         roots = pl.rational_roots(top)

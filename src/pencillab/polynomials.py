@@ -2,13 +2,16 @@
 polynomial matrices, and rational root extraction.
 
 Polynomials are tuples of Fractions in ascending degree with no trailing
-zeros; the zero polynomial is the empty tuple.
+zeros; the zero polynomial is the empty tuple.  The Smith form and the root
+finder take and return such polynomials but work inside on primitive
+integer coefficient lists, where a nonzero constant factor (a unit of Q[s])
+can be dropped at will.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 Poly = tuple[Fraction, ...]
 
@@ -144,36 +147,46 @@ def _int_derivative(c: list[int]) -> list[int]:
     return [i * x for i, x in enumerate(c)][1:]
 
 
+def _pseudo_divmod(x: list[int], p: list[int]) -> tuple[int, list[int], list[int]]:
+    """(c, q, r) with c x = q p + r, c a nonzero integer dividing a power of
+    p's leading coefficient, and deg r < deg p."""
+    dp = len(p) - 1
+    lead = p[-1]
+    if not dp:
+        g = gcd(lead, *x)
+        return lead // g, [v // g for v in x], []
+    r = list(x)
+    q = [0] * (len(x) - dp)
+    c = 1
+    for k in range(len(q) - 1, -1, -1):
+        top = r[k + dp]
+        if not top:
+            continue
+        g = gcd(top, lead)
+        f, scale = top // g, lead // g
+        if scale != 1:
+            r = [v * scale for v in r[:k + dp]]
+            q = [v * scale for v in q]
+            c *= scale
+        q[k] = f
+        for i in range(dp):
+            r[k + i] -= f * p[i]
+    del r[dp:]
+    while r and not r[-1]:
+        r.pop()
+    return c, q, r
+
+
 def _int_gcd(a: list[int], b: list[int]) -> list[int]:
     """Primitive gcd of two nonzero integer polynomials, by the primitive
     pseudo-remainder sequence."""
     a, b = _primitive(a), _primitive(b)
     while len(b) > 1:
-        r = a
-        while len(r) >= len(b):
-            c, k = r[-1], len(r) - len(b)
-            r = [x * b[-1] for x in r]
-            for i, y in enumerate(b):
-                r[k + i] -= c * y
-            while r and r[-1] == 0:
-                r.pop()
+        r = _pseudo_divmod(a, b)[2]
         if not r:
             return b
         a, b = b, _primitive(r)
     return [1]
-
-
-def _int_exact_div(f: list[int], g: list[int]) -> list[int]:
-    """f / g for a primitive g dividing f; the quotient is integral by
-    Gauss's lemma, so every step divides exactly."""
-    f = list(f)
-    out = [0] * (len(f) - len(g) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = f[k + len(g) - 1] // g[-1]
-        out[k] = c
-        for i, y in enumerate(g):
-            f[k + i] -= c * y
-    return out
 
 
 def _is_prime(q: int) -> bool:
@@ -205,7 +218,9 @@ def rational_roots(p: Poly) -> dict[Fraction, int]:
     for c in p:
         den = den * c.denominator // gcd(den, c.denominator)
     ints = _primitive([int(c * den) for c in p])
-    f = _int_exact_div(ints, _int_gcd(ints, _int_derivative(ints)))
+    # the gcd is primitive with a positive leading coefficient, so the
+    # quotient is integral (Gauss's lemma) and the pseudo-division scales by 1
+    f = _pseudo_divmod(ints, _int_gcd(ints, _int_derivative(ints)))[1]
     d, a = len(f) - 1, f[-1]
     big_f = [c * a ** (d - 1 - i) for i, c in enumerate(f[:-1])] + [1]
     big_df = _int_derivative(big_f)
@@ -232,62 +247,130 @@ def rational_roots(p: Poly) -> dict[Fraction, int]:
     return roots
 
 
+def _int_entries(row) -> list[list[int]]:
+    """A row of polynomials with int or Fraction coefficients as integer
+    coefficient lists without trailing zeros, the row's denominators
+    cleared."""
+    den = lcm(*[x.denominator for p in row for x in p])
+    if den == 1:
+        out = [list(map(int, p)) for p in row]
+    else:
+        out = [[x.numerator * (den // x.denominator) for x in p] for p in row]
+    for c in out:
+        while c and not c[-1]:
+            c.pop()
+    return out
+
+
+def _sub_mul(y: list[int], q: list[int], z: list[int]) -> list[int]:
+    """y - q z."""
+    out = y + [0] * (len(q) + len(z) - 1 - len(y))
+    for i, a in enumerate(q):
+        if a:
+            for j, b in enumerate(z):
+                if b:
+                    out[i + j] -= a * b
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _divide_content(polys: list[list[int]]) -> list[list[int]]:
+    """The polynomials divided by the integer content they share."""
+    g = 0
+    for p in polys:
+        if p:
+            g = gcd(g, *p)
+            if g == 1:
+                return polys
+    if g == 0:
+        return polys
+    return [[c // g for c in p] for p in polys]
+
+
 def smith_diagonal(mat: list[list[Poly]], m: int, n: int) -> list[Poly]:
     """Smith normal form diagonal of an m x n polynomial matrix over Q[s].
 
-    Gcd elimination with minimal-degree pivoting; returns the monic nonzero
-    invariant factors d_1 | d_2 | ... in divisibility order.  Every nonzero
-    remainder has a lower degree than the pivot and becomes the next pivot,
-    so the pivot degree falls at each restart and the loop terminates.
+    Entries may have int or Fraction coefficients, in ascending degree, and
+    trailing zeros; each row's denominators are cleared on entry and the
+    work is in integers.  Gcd elimination with minimal-degree pivoting: an
+    entry x below the pivot p is replaced by its pseudo-remainder,
+    c x = q p + r, through the row operation row_i <- c row_i - q row_t,
+    and an entry right of it through the matching column operation.  A
+    nonzero constant is a unit of Q[s], so scaling a row or column, and
+    dividing it by its integer content after each operation (which keeps
+    the coefficients from growing from step to step), leaves the invariant
+    factors unchanged.  Every nonzero remainder has a lower degree than the
+    pivot; the pivot's (degree, |leading coefficient|) never rises and falls
+    within two restarts, so the loop terminates.  Returns the monic nonzero
+    invariant factors d_1 | d_2 | ... in divisibility order, with Fraction
+    coefficients.
     """
-    a = [row[:] for row in mat]
-    diag: list[Poly] = []
+    a = [_divide_content(_int_entries(row)) for row in mat]
+    pivots: list[list[int]] = []
     t = 0
     while t < min(m, n):
-        # the first minimal-degree nonzero entry of the trailing block
+        # the first nonzero entry of least degree, then least leading
+        # coefficient, in the trailing block
         best = None
         for i in range(t, m):
+            row = a[i]
             for j in range(t, n):
-                if a[i][j]:
-                    d = pdeg(a[i][j])
-                    if best is None or d < best[0]:
-                        best = (d, i, j)
-                        if d == 0:
-                            break
-            if best is not None and best[0] == 0:
-                break
+                x = row[j]
+                if x and (best is None or len(x) < best[0]
+                          or len(x) == best[0] and abs(x[-1]) < best[1]):
+                    best = (len(x), abs(x[-1]), i, j)
+                    if best[:2] == (1, 1):
+                        break
+            else:
+                continue
+            break
         if best is None:
             break
-        _, bi, bj = best
+        bi, bj = best[2:]
         a[t], a[bi] = a[bi], a[t]
         if bj != t:
             for row in a:
                 row[t], row[bj] = row[bj], row[t]
-        pivot = a[t][t]
+        pivot, prow = a[t][t], a[t]
         # row operations clear column t down to remainders
         for i in range(t + 1, m):
-            if a[i][t]:
-                q, a[i][t] = pdivmod(a[i][t], pivot)
+            if len(a[i][t]) >= len(pivot):
+                c, q, rem = _pseudo_divmod(a[i][t], pivot)
+                row = a[i]
+                row[t] = rem
                 for j in range(t + 1, n):
-                    if a[t][j]:
-                        a[i][j] = psub(a[i][j], pmul(q, a[t][j]))
+                    y = row[j] if c == 1 else [v * c for v in row[j]]
+                    row[j] = _sub_mul(y, q, prow[j]) if prow[j] else y
+                row[t:] = _divide_content(row[t:])
         if any(a[i][t] for i in range(t + 1, m)):
             continue
-        # with column t clear, a column operation changes row t alone
+        # with column t clear, the column operation col_j <- col_j - (q/c) col_t
+        # changes row t alone; a nonzero remainder r/c is kept as r by
+        # scaling the rest of column j by c
         for j in range(t + 1, n):
-            if a[t][j]:
-                a[t][j] = pdivmod(a[t][j], pivot)[1]
-        if any(a[t][t + 1:]):
+            if len(prow[j]) >= len(pivot):
+                c, _, prow[j] = _pseudo_divmod(prow[j], pivot)
+                if prow[j]:
+                    for i in range(t + 1, m):
+                        a[i][j] = [v * c for v in a[i][j]]
+                    col = _divide_content([a[i][j] for i in range(t, m)])
+                    for i in range(t, m):
+                        a[i][j] = col[i - t]
+        if any(prow[t + 1:]):
             continue
         # the pivot must divide every remaining entry; a constant always does
-        if pdeg(pivot) > 0:
+        if len(pivot) > 1:
             bad = next((i for i in range(t + 1, m)
-                        if any(x and not pdivides(pivot, x) for x in a[i][t + 1:])), None)
+                        if any(x and _pseudo_divmod(x, pivot)[2] for x in a[i][t + 1:])),
+                       None)
             if bad is not None:
-                a[t] = [padd(x, y) for x, y in zip(a[t], a[bad])]
+                # row_t <- row_t + row_bad brings the offending entry into row t
+                a[t] = [_sub_mul(x, [-1], y) for x, y in zip(a[t], a[bad])]
                 continue
-        diag.append(pmonic(pivot))
+        pivots.append(pivot)
         t += 1
-    for k in range(len(diag) - 1):
-        assert pdivides(diag[k], diag[k + 1]), "invariant factors out of order"
-    return diag
+    for k in range(len(pivots) - 1):
+        assert not _pseudo_divmod(pivots[k + 1], pivots[k])[2], \
+            "invariant factors out of order"
+    return [tuple(Fraction(c, p[-1]) for c in p) for p in pivots]

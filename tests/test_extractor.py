@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction as F
 
@@ -11,7 +12,7 @@ from pencillab.extractor import (IrrationalSpectrumError, WeyrChar,
                                  partial_multiplicities, smith_invariant_factors,
                                  strictly_equivalent, weyr_char, weyr_characteristic)
 from pencillab.partitions import Star, weight
-from pencillab.pencils import INF, Pencil, normal_rank, transpose
+from pencillab.pencils import INF, Pencil, normal_rank, reversal, transpose
 from pencillab.polynomials import pnorm
 from pencillab.rmatrix import Matrix
 
@@ -60,13 +61,33 @@ def test_minimal_indices_examples():
     assert minimal_indices(transpose(H_1S)) == ((), (1,))
 
 
+def _random_integer_pencil(rng):
+    """A rectangular pencil with entries in -3..3, sometimes with a zero row
+    or column and sometimes with a repeated row (rank-deficient)."""
+    m, n = rng.randint(1, 5), rng.randint(1, 5)
+    a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+    b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.3:
+        i = rng.randrange(m)
+        a[i], b[i] = [0] * n, [0] * n
+    if rng.random() < 0.3:
+        j = rng.randrange(n)
+        for row in a + b:
+            row[j] = 0
+    if m > 1 and rng.random() < 0.3:
+        a[-1], b[-1] = list(a[0]), list(b[0])
+    return pencil(a, b)
+
+
 def test_column_counts_match_convolution_oracle():
-    cases = [om for i, om in enumerate(iter_weyr_chars(5)) if i % 53 == 0]
-    for i, om in enumerate(cases):
-        h = random_equivalence(build_pencil(om), seed=1000 + i)
-        counts = column_index_counts(h)
-        oracle = column_index_counts_convolution(h, len(counts) - 1)
-        assert counts == oracle, om
+    cases = [random_equivalence(build_pencil(om), seed=1000 + i)
+             for i, om in enumerate(iter_weyr_chars(5)) if i % 53 == 0]
+    rng = random.Random(5)
+    cases += [_random_integer_pencil(rng) for _ in range(150)]
+    for h in cases:
+        for g in (h, transpose(h)):
+            counts = column_index_counts(g)
+            assert counts == column_index_counts_convolution(g, len(counts) - 1), g
 
 
 def test_weyr_examples():
@@ -134,7 +155,6 @@ def test_equivalence_invariance_500_trials():
 
 
 def test_reversal_swaps_zero_and_infinity():
-    from pencillab.pencils import reversal
     for om in list(iter_weyr_chars(4))[::29]:
         h = build_pencil(om)
         rev = reversal(h)
@@ -153,4 +173,20 @@ def test_large_eigenvalues_extract_within_budget(omega):
     h = random_equivalence(build_pencil(omega), 1)
     started = time.perf_counter()
     assert weyr_characteristic(h) == omega
+    assert time.perf_counter() - started < 10
+
+
+def test_large_eigenvalue_scrambles_and_reversals_within_budget():
+    # a pseudo-remainder step scales a row or column by a power of the
+    # pivot's leading coefficient; unless the integer content is taken out
+    # again, the 40-digit entries of these pencils compound from one pivot
+    # step to the next
+    omega = weyr_char({F(-(10**39 + 3), 7): (2, 1), F(10**41 + 17, 3): (1, 1), F(1): (1,)},
+                      Star(0), Star(0))
+    reversed_omega = weyr_char({1 / lam: p for lam, p in omega.regular}, Star(0), Star(0))
+    started = time.perf_counter()
+    for seed in range(120):
+        h = random_equivalence(build_pencil(omega), seed)
+        assert weyr_characteristic(h) == omega
+        assert weyr_characteristic(reversal(h)) == reversed_omega
     assert time.perf_counter() - started < 10

@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations
 from math import isqrt
 
 import pytest
@@ -107,3 +108,82 @@ def test_smith_diagonal_hand_cases():
     s2_plus_1 = pnorm((1, 0, 1))
     assert smith_diagonal([[s], [s2_plus_1]], 2, 1) == [one]
     assert smith_diagonal([[s, s2_plus_1]], 1, 2) == [one]
+
+
+def _det(mat):
+    """Determinant of a square polynomial matrix by cofactor expansion."""
+    if not mat:
+        return PONE
+    total = PZERO
+    for j, x in enumerate(mat[0]):
+        if x:
+            term = pmul(x, _det([row[:j] + row[j + 1:] for row in mat[1:]]))
+            total = padd(total, term) if j % 2 == 0 else psub(total, term)
+    return total
+
+
+def _pgcd(p, q):
+    while q:
+        p, q = q, pdivmod(p, q)[1]
+    return pmonic(p)
+
+
+def determinantal_invariant_factors(mat, m, n):
+    """d_k = D_k / D_{k-1}, with D_k the monic gcd of all k x k minors."""
+    factors, prev = [], PONE
+    for k in range(1, min(m, n) + 1):
+        dk = PZERO
+        for rows in combinations(range(m), k):
+            for cols in combinations(range(n), k):
+                dk = _pgcd(dk, _det([[mat[i][j] for j in cols] for i in rows]))
+        if not dk:
+            break
+        factors.append(pdivmod(dk, prev)[0])
+        prev = dk
+    return factors
+
+
+# small coefficients, some with denominators, and 20-digit ones
+coefficients = (st.integers(-3, 3)
+                | st.builds(F, st.integers(-3, 3), st.integers(1, 4))
+                | st.integers(10**19, 10**20) | st.integers(-10**20, -10**19))
+polys = st.lists(coefficients, max_size=3).map(pnorm)
+
+
+def _linear_product(roots):
+    p = PONE
+    for r in roots:
+        p = pmul(p, s_minus(F(r)))
+    return p
+
+
+# products of up to three factors s - r, r in -1..1: diagonals of these need
+# the pivot loop's divisibility fix-up when one does not divide the next
+linear_products = st.lists(st.integers(-1, 1), max_size=3).map(_linear_product)
+
+
+@st.composite
+def polynomial_matrices(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        mat = [[draw(polys) for _ in range(n)] for _ in range(m)]
+    else:
+        # a diagonal matrix hidden by one constant row operation
+        mat = [[draw(linear_products) if i == j else PZERO for j in range(n)]
+               for i in range(m)]
+        if m > 1:
+            k = pnorm((draw(st.integers(-3, 3)),))
+            mat[1] = [padd(x, pmul(k, y)) for x, y in zip(mat[1], mat[0])]
+    if m > 1 and draw(st.booleans()):
+        # rank-deficient: the last row is a polynomial multiple of the first
+        # plus the second (when there is a second)
+        f = draw(polys)
+        mat[-1] = [padd(pmul(f, x), mat[1][j] if m > 2 else PZERO)
+                   for j, x in enumerate(mat[0])]
+    return mat, m, n
+
+
+@given(polynomial_matrices())
+def test_smith_diagonal_matches_determinantal_divisors(case):
+    mat, m, n = case
+    assert smith_diagonal(mat, m, n) == determinantal_invariant_factors(mat, m, n)
