@@ -3,15 +3,22 @@ factors, partial multiplicities, minimal indices, and the assembled Weyr
 characteristic.
 
 Both kernels run on the pencil's integer coefficient rows (denominators
-cleared once, a strict equivalence).  Partial multiplicities come from the
-Smith normal form over Q[s] of A + sB (infinity through the reversal
-B + sA).  Minimal indices come from a subspace staircase: with S_0 = ker A
-and S_{d+1} = A^{-1}(B S_d), the dimension of S_d intersected with ker B
-equals the number of column minimal indices that are <= d.  A is reduced
-once per staircase; each step then needs a basis of B S_d and the part of
-it inside im A.  Since S_d lies in S_{d+1}, the staircase stops when the
-dimension stops growing.  An explicit block-convolution-matrix oracle of
-the same counts is provided for cross-validation.
+cleared once, a strict equivalence).  Minimal indices and the eigenvalues 0
+and infinity come from a subspace staircase, the Wong sequence of the
+eigenvalue 0 (Van Dooren 1979): with S_0 = ker A and S_{d+1} = A^{-1}(B S_d),
+the dimension of S_d intersected with ker B equals the number of column
+minimal indices that are <= d, and since an L_eps block adds
+min(d+1, eps+1) to dim S_d and a Jordan block J_k(0) adds min(d+1, k),
+dim S_d - dim S_{d-1} = r*_d + w_{d+1}(0) with r*_d the number of column
+minimal indices >= d.  A is reduced once per staircase; each step then
+needs a basis of B S_d and the part of it inside im A.  Since S_d lies in
+S_{d+1}, the staircase stops when the dimension stops growing.  The second
+staircase runs on B^T + s A^T, the transpose of the reversal B + sA: its
+column minimal indices are the row minimal indices of A + sB, and its
+eigenvalue 0 is the pencil's infinity.  The Smith normal form over Q[s] of
+A + sB runs only when other eigenvalues remain.  A block-convolution-matrix
+oracle of the staircase counts, and the Smith route to the partial
+multiplicities at any point, are kept for cross-validation.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import polynomials as pl
-from .intlinalg import eliminate, int_rank, mat_vec, preimage_basis, reduced_basis
+from .intlinalg import eliminate, mat_vec, preimage_basis, reduced_basis
 from .partitions import Partition, Star, conjugate, partition, weight
 from .pencils import INF, Eigenvalue, Pencil, eigenvalue_str, parse_eigenvalue, reversal
 from .pencils import transpose as pencil_transpose
@@ -152,22 +159,36 @@ def column_index_counts(h: Pencil) -> list[int]:
     """counts[d] = number of column minimal indices <= d; the last entry is
     the stabilized total n - rank."""
     arows, brows = _int_rows(h)
-    return _column_index_counts_int(arows, brows, h.m, h.n)
+    return _column_index_counts_int(arows, brows, h.m, h.n)[0]
 
 
-def _column_index_counts_int(arows, brows, m: int, n: int) -> list[int]:
+def _column_index_counts_int(arows, brows, m: int, n: int) -> tuple[list[int], list[int]]:
+    """(counts, dims) with counts[d] = dim(S_d meet ker B), dims[d] = dim S_d."""
     elim = eliminate(arows, n)
     s_d = elim.kernel
     counts: list[int] = []
+    dims: list[int] = []
     while True:
         img_basis = reduced_basis([mat_vec(brows, x) for x in s_d], m)[0]
         counts.append(len(s_d) - len(img_basis))
+        dims.append(len(s_d))
         s_next = preimage_basis(elim, img_basis)
         # S_d lies in S_{d+1}, so equal dimensions mean equal subspaces
         if len(s_next) == len(s_d):
             break
         s_d = s_next
-    return counts
+    return counts, dims
+
+
+def _zero_multiplicities(counts: list[int], dims: list[int]) -> Partition:
+    """Partial multiplicities at 0 from dim S_d - dim S_{d-1} = r*_d + w_{d+1}(0),
+    where r*_d = counts[-1] - counts[d-1] counts the column minimal indices >= d."""
+    w = []
+    prev_count = prev_dim = 0
+    for count, dim in zip(counts, dims):
+        w.append(dim - prev_dim - (counts[-1] - prev_count))
+        prev_count, prev_dim = count, dim
+    return conjugate(w)
 
 
 def _counts_to_indices(counts: list[int]) -> tuple[int, ...]:
@@ -218,46 +239,57 @@ def _transpose_int(rows, m: int, n: int) -> list[list[int]]:
 
 def kronecker_structure(h: Pencil) -> KroneckerStructure:
     """Full Kronecker data; raises IrrationalSpectrumError when a finite
-    eigenvalue falls outside the rationals."""
+    eigenvalue falls outside the rationals.
+
+    The two staircases give the minimal indices and the partial
+    multiplicities at 0 and infinity; the Smith form, and root finding on
+    its top factor, run only when these leave part of the rank unexplained.
+    """
     arows, brows = _int_rows(h)
-    col_counts = _column_index_counts_int(arows, brows, h.m, h.n)
-    row_counts = _column_index_counts_int(_transpose_int(arows, h.m, h.n),
-                                          _transpose_int(brows, h.m, h.n), h.n, h.m)
+    col_counts, col_dims = _column_index_counts_int(arows, brows, h.m, h.n)
+    # B^T + s A^T, the reversal's transpose: its column minimal indices are
+    # the pencil's row minimal indices, and its eigenvalue 0 is infinity
+    row_counts, row_dims = _column_index_counts_int(_transpose_int(brows, h.m, h.n),
+                                                    _transpose_int(arows, h.m, h.n), h.n, h.m)
     cols = _counts_to_indices(col_counts)
     rows = _counts_to_indices(row_counts)
     rho = h.n - col_counts[-1]
     if h.m - row_counts[-1] != rho:
         raise AssertionError("column and row staircases disagree on the rank")
 
-    mult: dict[Eigenvalue, list[int]] = {}
-    inf_weight = 0
-    if int_rank(brows, h.n) < rho:
-        rev_factors = _smith(brows, arows, h.m, h.n)
-        per = [next((i for i, c in enumerate(d) if c), len(d)) for d in rev_factors]
-        inf_weight = sum(per)
-        mult[INF] = sorted(per, reverse=True)
-
+    mult: dict[Eigenvalue, Partition] = {
+        Fraction(0): _zero_multiplicities(col_counts, col_dims),
+        INF: _zero_multiplicities(row_counts, row_dims),
+    }
+    known = sum(cols) + sum(rows) + sum(map(weight, mult.values()))
     # the invariant weights sum to the rank, so a shortfall here certifies
-    # the presence of finite eigenvalues (and only then is Smith needed)
-    if sum(cols) + sum(rows) + inf_weight < rho:
+    # the presence of other eigenvalues (and only then is Smith needed)
+    if known < rho:
         factors = _smith(arows, brows, h.m, h.n)
         assert len(factors) == rho, "Smith form rank disagrees with staircase rank"
         top = factors[-1]
         roots = pl.rational_roots(top)
-        residual = top
-        for lam, k in roots.items():
-            residual = pl.linear_valuation(residual, lam)[1]
-        if pl.pdeg(residual) >= 1:
+        irrational = pl.pdeg(top) - sum(roots.values())
+        if irrational >= 1:
             raise IrrationalSpectrumError(
-                f"invariant factor has a non-rational factor of degree {pl.pdeg(residual)}")
-        for lam in roots:
-            per = [pl.linear_valuation(d, lam)[0] for d in factors]
-            mult[lam] = sorted(per, reverse=True)
+                f"invariant factor has a non-rational factor of degree {irrational}")
+        assert roots.pop(Fraction(0), 0) == max(mult[0], default=0), \
+            "Smith form and staircase disagree at 0"
+        for lam, k in roots.items():
+            # d_1 | ... | d_rho: walk down from the top, stopping at the first
+            # factor without lam (a constant factor has none)
+            per = [k]
+            for d in reversed(factors[:-1]):
+                v = pl.linear_valuation(d, lam)[0] if pl.pdeg(d) else 0
+                if not v:
+                    break
+                per.append(v)
+            mult[lam] = tuple(per)
         finite_degrees = sum(pl.pdeg(d) for d in factors)
-        assert finite_degrees + inf_weight + sum(cols) + sum(rows) == rho, \
+        assert finite_degrees + weight(mult[INF]) + sum(cols) + sum(rows) == rho, \
             "invariant weights do not sum to the rank"
 
-    items = tuple(sorted(((lam, partition(p)) for lam, p in mult.items() if any(p)),
+    items = tuple(sorted(((lam, p) for lam, p in mult.items() if p),
                          key=lambda t: t[0]))
     return KroneckerStructure(rho, items, cols, rows)
 

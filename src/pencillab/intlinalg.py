@@ -65,10 +65,6 @@ def reduced_basis(rows, ncols: int) -> tuple[tuple[IntRow, ...], list[int]]:
     return tuple(vec_primitive(work[i]) for i in range(r)), pivots
 
 
-def int_rank(rows, ncols: int) -> int:
-    return len(reduced_basis(rows, ncols)[0])
-
-
 def _echelon_kernel(basis, pivots: list[int], ncols: int) -> tuple[IntRow, ...]:
     """Primitive kernel basis of a reduced echelon basis, one vector per free
     column."""

@@ -3,7 +3,10 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from pencillab import polynomials
 from pencillab.builder import build_pencil, iter_weyr_chars, random_equivalence
 from pencillab.extractor import (IrrationalSpectrumError, WeyrChar,
                                  column_index_counts,
@@ -11,7 +14,7 @@ from pencillab.extractor import (IrrationalSpectrumError, WeyrChar,
                                  kronecker_structure, minimal_indices,
                                  partial_multiplicities, smith_invariant_factors,
                                  strictly_equivalent, weyr_char, weyr_characteristic)
-from pencillab.partitions import Star, weight
+from pencillab.partitions import Star, conjugate, star_from_finite_sequence, weight
 from pencillab.pencils import INF, Pencil, normal_rank, reversal, transpose
 from pencillab.polynomials import pnorm
 from pencillab.rmatrix import Matrix
@@ -88,6 +91,49 @@ def test_column_counts_match_convolution_oracle():
         for g in (h, transpose(h)):
             counts = column_index_counts(g)
             assert counts == column_index_counts_convolution(g, len(counts) - 1), g
+
+
+@st.composite
+def zero_infinity_scrambles(draw):
+    """Scrambled canonical pencils with Jordan chains of length <= 4 at 0
+    and infinity beside L_eps and L_eta^T blocks with eps, eta <= 3, and at
+    times an eigenvalue -1."""
+    chains = st.lists(st.integers(1, 4), max_size=3).map(lambda c: sorted(c, reverse=True))
+    indices = st.lists(st.integers(0, 3), max_size=3)
+    regular = {F(0): conjugate(draw(chains)), INF: conjugate(draw(chains)),
+               F(-1): conjugate(draw(st.lists(st.integers(1, 2), max_size=1)))}
+    omega = weyr_char(regular, star_from_finite_sequence(draw(indices)),
+                      star_from_finite_sequence(draw(indices)))
+    return random_equivalence(build_pencil(omega), draw(st.integers(0, 10**6)))
+
+
+@given(st.one_of(st.randoms(use_true_random=False).map(_random_integer_pencil),
+                 zero_infinity_scrambles()))
+def test_staircase_multiplicities_at_zero_and_infinity_match_smith(h):
+    try:
+        found = dict(kronecker_structure(h).multiplicities)
+    except IrrationalSpectrumError:
+        assume(False)
+    for lam in (F(0), INF):
+        assert found.get(lam, ()) == partial_multiplicities(h, lam), (h, lam)
+
+
+def test_smith_runs_only_for_eigenvalues_other_than_zero_and_infinity(monkeypatch):
+    calls = []
+    smith = polynomials.smith_diagonal
+
+    def counted(*args):
+        calls.append(args)
+        return smith(*args)
+
+    monkeypatch.setattr(polynomials, "smith_diagonal", counted)
+    for i, om in enumerate(iter_weyr_chars(4)):
+        h = build_pencil(om)
+        expected = 0 if set(om.spectrum()) <= {F(0), INF} else 1
+        for g in (h, random_equivalence(h, i)):
+            calls.clear()
+            assert weyr_characteristic(g) == om
+            assert len(calls) == expected, om
 
 
 def test_weyr_examples():
